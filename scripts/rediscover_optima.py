@@ -10,6 +10,7 @@ gap between the sequential and jointly-measurable settings.
 
 import argparse
 import math
+import time
 
 from qcycle.scenario import canonical_scenario
 from qcycle.search import default_space_and_evaluator, minimize_lhs
@@ -30,13 +31,15 @@ def main() -> None:
     scenario = canonical_scenario(5)
     for kind, target in TARGETS.items():
         space, evaluator = default_space_and_evaluator(kind)
+        started = time.perf_counter()
         values = []
         for seed in range(args.seeds):
             _, value = minimize_lhs(space, scenario, evaluator, seed=seed, starts=args.starts)
             values.append(value)
+        seconds = time.perf_counter() - started
         spread = max(values) - min(values)
         print(f"{kind:>16}: best {min(values):.12f}  target {target:.12f}  "
-              f"seed spread {spread:.2e}")
+              f"seed spread {spread:.2e}  {seconds:.2f}s")
 
 
 if __name__ == "__main__":

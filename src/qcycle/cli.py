@@ -24,12 +24,13 @@ from . import __version__
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .histories import family_from_bloch_angles, lg_decomposition
 from .jpd import correlators_to_marginals, jpd_feasible, witness_to_text
-from .quantum import build
+from .quantum import build, builder_cycle_length
 from .report import RunReport, csv_lines, violated
 from .scenario import (
     CorrelationVector,
     CycleScenario,
     canonical_scenario,
+    check_enumeration_cap,
     classical_bound,
     load_scenario,
 )
@@ -63,10 +64,11 @@ def _scenario_fields(report: RunReport, scenario: CycleScenario) -> None:
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
+    check_enumeration_cap(builder_cycle_length(args.builder))
     result = build(args.builder)
     lhs = float(np.dot(result.scenario.signs, result.correlations.values))
     bound = classical_bound(result.scenario)
-    report = RunReport("evaluate", tuple(sys.argv[1:]))
+    report = RunReport("evaluate", args.argv)
     report.add("tool_version", __version__)
     report.add("seed", args.seed)
     report.add("builder", result.name)
@@ -100,7 +102,7 @@ def cmd_bound(args) -> int:
             scenario = canonical_scenario(args.n)
         source = "command line"
     bound = classical_bound(scenario)
-    report = RunReport("bound", tuple(sys.argv[1:]))
+    report = RunReport("bound", args.argv)
     report.add("tool_version", __version__)
     report.add("seed", args.seed)
     report.add("source", source)
@@ -136,7 +138,7 @@ def cmd_feasibility(args) -> int:
     witness = jpd_feasible(marginals, pivot=args.pivot)
     lhs = float(np.dot(corr.scenario.signs, corr.values))
     bound = classical_bound(corr.scenario)
-    report = RunReport("feasibility", tuple(sys.argv[1:]))
+    report = RunReport("feasibility", args.argv)
     report.add("tool_version", __version__)
     report.add("seed", args.seed)
     report.add("input", name)
@@ -163,7 +165,7 @@ def cmd_histories(args) -> int:
     angles = tuple(args.angles) if args.angles else (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
     family = family_from_bloch_angles(angles)
     dec = lg_decomposition(family)
-    report = RunReport("histories", tuple(sys.argv[1:]))
+    report = RunReport("histories", args.argv)
     report.add("tool_version", __version__)
     report.add("seed", args.seed)
     report.add("bloch_angles", angles)
@@ -222,12 +224,17 @@ def cmd_scan(args) -> int:
 def cmd_selftest(args) -> int:
     failures = 0
     lines: list[str] = []
+    last = time.perf_counter()
 
     def check(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
+        # Elapsed time is the work since the previous check.
+        nonlocal failures, last
+        now = time.perf_counter()
         line = f"{'ok' if ok else 'FAIL'}: {name}"
         if detail:
             line += f" ({detail})"
+        line += f" [{(now - last) * 1e3:.1f} ms]"
+        last = now
         lines.append(line)
         sys.stdout.write(line + "\n")
         failures += 0 if ok else 1
@@ -379,8 +386,9 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = make_parser().parse_args(argv)
+    args.argv = tuple(argv)
     try:
         return args.func(args)
     except PreconditionError as exc:

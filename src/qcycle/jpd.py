@@ -92,8 +92,8 @@ def correlators_to_marginals(
     singles = tuple(float(s) for s in singles)
     if len(singles) != n:
         raise PreconditionError("need one single-observable mean per node")
-    if any(abs(s) > 1.0 + 1e-12 for s in singles):
-        raise PreconditionError("single-observable means must lie in [-1, 1]")
+    if not all(abs(s) <= 1.0 + 1e-12 for s in singles):  # also rejects nan
+        raise PreconditionError("single-observable means must be finite and lie in [-1, 1]")
     cells = np.empty((n, 2, 2))
     for i in range(n):
         si, sj, cij = singles[i], singles[(i + 1) % n], c.values[i]

@@ -367,6 +367,22 @@ def _bipartite_singles(cfg: BipartiteConfig, node_obs: list[tuple[str, int]]) ->
     return tuple(singles)
 
 
+def _unknown_builder(name: str) -> PreconditionError:
+    return PreconditionError(
+        f"unknown builder {name!r}; expected one of {', '.join(BUILDER_NAMES)}"
+    )
+
+
+def builder_cycle_length(name: str) -> int:
+    """Cycle length of a named configuration, read off the name without building it."""
+    if name in ("kcbs-contextual", "kcbs-temporal", "kcbs-spatial"):
+        return 5
+    m = _CHAINED_RE.match(name)
+    if m:
+        return int(m.group(1))
+    raise _unknown_builder(name)
+
+
 def build(name: str) -> BuilderResult:
     """Evaluate a named configuration: kcbs-{contextual,temporal,spatial} or chained-N."""
     if name == "kcbs-temporal":
@@ -404,6 +420,4 @@ def build(name: str) -> BuilderResult:
             perfect = perfect_pair_values(cfg)
         singles = _bipartite_singles(cfg, nodes)
         return BuilderResult(name, corr.scenario, corr, singles, perfect, None)
-    raise PreconditionError(
-        f"unknown builder {name!r}; expected one of {', '.join(BUILDER_NAMES)}"
-    )
+    raise _unknown_builder(name)

@@ -13,6 +13,7 @@ one evaluator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,6 +59,8 @@ class CorrelationVector:
         object.__setattr__(self, "values", values)
         if len(values) != self.scenario.n:
             raise PreconditionError("need one correlator per cycle edge")
+        if not all(math.isfinite(v) for v in values):
+            raise PreconditionError("correlators must be finite")
         if any(abs(v) > 1.0 + 1e-9 for v in values):
             raise PreconditionError("correlators must lie in [-1, 1]")
 
@@ -65,6 +68,12 @@ class CorrelationVector:
 def inequality_lhs(c: CorrelationVector) -> float:
     """Signed sum of the correlators, the left-hand side of the inequality."""
     return float(np.dot(c.scenario.signs, c.values))
+
+
+def check_enumeration_cap(n: int, max_n: int = ENUMERATION_CAP) -> None:
+    """Raise ResourceLimitError when the 2^n enumeration exceeds the cap."""
+    if n > max_n:
+        raise ResourceLimitError(f"enumeration capped at n <= {max_n}, got {n}")
 
 
 def classical_bound(scenario: CycleScenario, *, max_n: int = ENUMERATION_CAP) -> int:
@@ -75,8 +84,7 @@ def classical_bound(scenario: CycleScenario, *, max_n: int = ENUMERATION_CAP) ->
     exactly -n+2.
     """
     n = scenario.n
-    if n > max_n:
-        raise ResourceLimitError(f"enumeration capped at n <= {max_n}, got {n}")
+    check_enumeration_cap(n, max_n)
     signs = np.asarray(scenario.signs, dtype=np.int64)
     total = 1 << (n - 1)
     chunk = 1 << _CHUNK_BITS
@@ -186,6 +194,18 @@ def scenario_to_text(doc: ScenarioFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_field(fields: dict[str, str], key: str, kind, *, many: bool = False):
+    """One value (or a list of values) of ``kind`` from a scenario field."""
+    try:
+        if many:
+            return [kind(tok) for tok in fields[key].split()]
+        return kind(fields[key])
+    except ValueError:
+        raise PreconditionError(
+            f"scenario key {key!r} needs {kind.__name__} values, got {fields[key]!r}"
+        ) from None
+
+
 def scenario_from_text(text: str) -> ScenarioFile:
     fields: dict[str, str] = {}
     for raw in text.splitlines():
@@ -200,24 +220,28 @@ def scenario_from_text(text: str) -> ScenarioFile:
         fields[key] = value
     if "n" not in fields or "signs" not in fields:
         raise PreconditionError("scenario file needs 'n' and 'signs'")
-    n = int(fields["n"])
-    signs = tuple(int(tok) for tok in fields["signs"].split())
+    n = _parse_field(fields, "n", int)
+    signs = tuple(_parse_field(fields, "signs", int, many=True))
     scen = CycleScenario(n, signs)
     correlators = None
     if "correlators" in fields:
-        correlators = tuple(float(tok) for tok in fields["correlators"].split())
+        correlators = tuple(_parse_field(fields, "correlators", float, many=True))
         if len(correlators) != n:
             raise PreconditionError("correlators length must equal n")
     singles = None
     if "singles" in fields:
-        singles = tuple(float(tok) for tok in fields["singles"].split())
+        singles = tuple(_parse_field(fields, "singles", float, many=True))
         if len(singles) != n:
             raise PreconditionError("singles length must equal n")
     return ScenarioFile(scen, fields.get("builder"), correlators, singles)
 
 
 def load_scenario(path) -> ScenarioFile:
-    return scenario_from_text(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PreconditionError(f"cannot read scenario file {str(path)!r}: {exc}") from None
+    return scenario_from_text(text)
 
 
 def save_scenario(doc: ScenarioFile, path) -> None:

@@ -18,33 +18,37 @@ in:
   and bottom out at the sequential-measurement value instead of the
   compatible-cycle one.
 
-The optimizer is a plain multi-start Nelder-Mead simplex; starts are seeded
-uniformly over the box from one rng and the best result wins, ties broken by
-start index, so a seed pins the outcome exactly.
+Batch contract: every evaluator takes a (B, dim) batch of parameters (a 1-D
+point is a batch of one) and returns (B, n) correlators, computed by numpy
+broadcasting from cached closed-form constants; the validated-object route
+(``CorrelationVector``, ``su2_rotation`` per point) is the test oracle only.
+
+The optimizer is a multi-start Nelder-Mead simplex run in lockstep: all
+starts, seeded uniformly over the box from one rng, move together as
+(starts, dim+1, dim) arrays, one evaluator call per step for every start
+that needs a point. Each start picks its own move by masks and freezes on
+its own convergence test, so it takes exactly the steps it would take alone.
+The best result wins, ties broken by lowest start index, so a seed pins the
+outcome exactly.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import SIGMA_X, SIGMA_Z, su2_rotation
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, su2_rotation
 from .quantum import spatial_kcbs_configuration, temporal_kcbs_protocol
-from .scenario import (
-    CorrelationVector,
-    CycleScenario,
-    canonical_scenario,
-    classical_bound,
-    inequality_lhs,
-)
+from .scenario import CycleScenario, canonical_scenario, classical_bound, inequality_lhs
 
 SPACE_KINDS = ("temporal-times", "bloch-angles", "contextual-cone")
 
-Evaluator = Callable[[np.ndarray], CorrelationVector]
+Evaluator = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -82,101 +86,123 @@ def contextual_cone_space() -> SearchSpace:
     )
 
 
-_TEMPORAL_BASE = None
-_PHI_PLUS = None
+class _Constants(NamedTuple):
+    temporal_rate: float
+    temporal_offset: float
+    temporal_amplitude: float
+    phi_plus_xz: np.ndarray
 
 
-def temporal_times_evaluator(params) -> CorrelationVector:
-    """Five-cycle correlators of the fixed-rate protocol at arbitrary times.
+@lru_cache(maxsize=1)
+def _constants() -> _Constants:
+    """Closed-form coefficients of the temporal and Bloch evaluators.
 
-    Same algebra as the builder route (Heisenberg observables, symmetrized
-    trace) but on raw matrices, cheap enough for optimizer inner loops; the
+    Temporal: a +-1 qubit observable is m0*I + m.sigma with either m0 = 0 or
+    m = 0, so (1/2)Tr(rho{A, B}) = m0^2 + a.b for every state. Conjugation
+    by su2_rotation(axis, rate*t) turns m about the axis by 2*rate*t, so the
+    Bloch vector at time t is par + perp(t) with perp(t) turned by that
+    angle, and adjacent correlators are m0^2 + |par|^2 + |perp|^2 cos(2*rate*dt).
+    par and perp come from the Heisenberg observables at rotation angles 0
+    and pi/2 (the latter flips perp).
+
+    Bloch: the xz-plane setting at angle a is (sin a, cos a).(sigma_x,
+    sigma_z), so <M_i x M_j> is u_i^T T u_j with T the xz block of the
+    state's correlation tensor.
+    """
+    protocol = temporal_kcbs_protocol()
+    measured = protocol.measured.matrix
+
+    def heisenberg_bloch(angle: float) -> np.ndarray:
+        u = su2_rotation(protocol.axis, angle)
+        h = u.conj().T @ measured @ u
+        return np.array([0.5 * np.trace(h @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+
+    start, flipped = heisenberg_bloch(0.0), heisenberg_bloch(0.5 * math.pi)
+    par, perp = 0.5 * (start + flipped), 0.5 * (start - flipped)
+    m0 = 0.5 * np.trace(measured).real
+    rho = spatial_kcbs_configuration().state.matrix
+    xz = (SIGMA_X, SIGMA_Z)
+    tensor = np.array([[np.trace(rho @ np.kron(a, b)).real for b in xz] for a in xz])
+    tensor.flags.writeable = False
+    return _Constants(
+        2.0 * protocol.angular_rate, m0 * m0 + float(par @ par), float(perp @ perp), tensor
+    )
+
+
+def _batch(params) -> np.ndarray:
+    """(B, dim) float array; a 1-D point is a batch of one."""
+    x = np.atleast_2d(np.asarray(params, dtype=float))
+    if x.ndim != 2:
+        raise PreconditionError("parameters must be one point or a (B, dim) batch")
+    return x
+
+
+def temporal_times_evaluator(params) -> np.ndarray:
+    """(B, n) five-cycle correlators of the fixed-rate protocol at arbitrary times.
+
+    Closed form of the Heisenberg-observable route (see ``_constants``); the
     test suite pins it against the validated-object route.
     """
-    global _TEMPORAL_BASE
-    if _TEMPORAL_BASE is None:
-        base = temporal_kcbs_protocol()
-        _TEMPORAL_BASE = (
-            base.initial_state.matrix,
-            base.measured.matrix,
-            base.axis,
-            base.angular_rate,
-        )
-    rho, measured, axis, rate = _TEMPORAL_BASE
-    times = np.asarray(params, dtype=float)
-    n = times.size
-    obs = []
-    for t in times:
-        u = su2_rotation(axis, rate * t)
-        obs.append(u.conj().T @ measured @ u)
-    values = tuple(
-        0.5 * np.trace(rho @ (obs[i] @ obs[(i + 1) % n] + obs[(i + 1) % n] @ obs[i])).real
-        for i in range(n)
-    )
-    return CorrelationVector(canonical_scenario(n), values)
+    times = _batch(params)
+    k = _constants()
+    gaps = np.roll(times, -1, axis=1) - times
+    return k.temporal_offset + k.temporal_amplitude * np.cos(k.temporal_rate * gaps)
 
 
-def bloch_angles_evaluator(params) -> CorrelationVector:
-    """Shared xz-plane settings on |phi+> over the canonical pairing.
+def bloch_angles_evaluator(params) -> np.ndarray:
+    """(B, n) correlators of shared xz-plane settings on |phi+>, canonical pairing.
 
     Sharing the settings between the parties keeps <A_i B_i> = 1 for every
     parameter value, so the whole box satisfies the perfect-correlation
     constraint of the doubled-measurement scenario.
     """
-    global _PHI_PLUS
-    if _PHI_PLUS is None:
-        _PHI_PLUS = spatial_kcbs_configuration().state.matrix
-    angles = np.asarray(params, dtype=float)
-    n = angles.size
-    settings = [math.cos(a) * SIGMA_Z + math.sin(a) * SIGMA_X for a in angles]
-    values = tuple(
-        np.trace(_PHI_PLUS @ np.kron(settings[i], settings[(i + 1) % n])).real
-        for i in range(n)
-    )
-    return CorrelationVector(canonical_scenario(n), values)
+    angles = _batch(params)
+    t = _constants().phi_plus_xz
+    s, c = np.sin(angles), np.cos(angles)
+    s_next, c_next = np.roll(s, -1, axis=1), np.roll(c, -1, axis=1)
+    return t[0, 0] * s * s_next + t[0, 1] * s * c_next + t[1, 0] * c * s_next + t[1, 1] * c * c_next
 
 
-def contextual_cone_vectors(cone_half_angle: float, n: int = 5) -> np.ndarray:
-    """A compatible cycle of five unit vectors for any half-angle in range.
+def contextual_cone_vectors(cone_half_angles) -> np.ndarray:
+    """(B, 5, 3) compatible cycles of unit vectors, one per half-angle.
 
     The first four sit on the cone with the azimuth step that makes
     consecutive vectors orthogonal; the fifth is the unit vector orthogonal
     to both the fourth and the first, closing the cycle exactly.
     """
-    theta = min(max(cone_half_angle, math.pi / 4.0), 3.0 * math.pi / 4.0)
-    c, s = math.cos(theta), math.sin(theta)
-    ratio = -(c * c) / (s * s)
-    step = math.acos(min(max(ratio, -1.0), 1.0))
-    vs = [
-        np.array([s * math.cos(j * step), s * math.sin(j * step), c]) for j in range(4)
-    ]
-    cross = np.cross(vs[3], vs[0])
-    norm = np.linalg.norm(cross)
-    if norm < 1e-12:
+    theta = np.clip(np.atleast_1d(np.asarray(cone_half_angles, dtype=float)),
+                    math.pi / 4.0, 3.0 * math.pi / 4.0)
+    c, s = np.cos(theta), np.sin(theta)
+    step = np.arccos(np.clip(-(c * c) / (s * s), -1.0, 1.0))
+    azimuth = np.arange(4) * step[:, None]
+    vs = np.empty((theta.size, 5, 3))
+    vs[:, :4, 0] = s[:, None] * np.cos(azimuth)
+    vs[:, :4, 1] = s[:, None] * np.sin(azimuth)
+    vs[:, :4, 2] = c[:, None]
+    cross = np.cross(vs[:, 3], vs[:, 0])
+    norm = np.linalg.norm(cross, axis=1)
+    degenerate = norm < 1e-12
+    if degenerate.any():
         # v3 parallel to v0: any unit vector orthogonal to v0 closes the cycle.
-        seed = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(seed, vs[0])) > 0.9:
-            seed = np.array([0.0, 1.0, 0.0])
-        cross = np.cross(vs[0], seed)
-        norm = np.linalg.norm(cross)
-    vs.append(cross / norm)
-    return np.array(vs)
+        v0 = vs[degenerate, 0]
+        seed = np.where(np.abs(v0[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        cross[degenerate] = np.cross(v0, seed)
+        norm[degenerate] = np.linalg.norm(cross[degenerate], axis=1)
+    vs[:, 4] = cross / norm[:, None]
+    return vs
 
 
-def contextual_cone_evaluator(params) -> CorrelationVector:
-    """Joint correlators of the compatible cone cycle with an xz-plane state.
+def contextual_cone_evaluator(params) -> np.ndarray:
+    """(B, 5) joint correlators of the compatible cone cycle with an xz-plane state.
 
     Every adjacent projector pair is orthogonal by construction, so the joint
     correlator reduces to 1 - 2<v_i|rho|v_i> - 2<v_j|rho|v_j>.
     """
-    theta, state_angle = float(params[0]), float(params[1])
-    vs = contextual_cone_vectors(theta)
-    psi = np.array([math.sin(state_angle), 0.0, math.cos(state_angle)])
-    weights = (vs @ psi) ** 2
-    values = tuple(
-        1.0 - 2.0 * weights[i] - 2.0 * weights[(i + 1) % 5] for i in range(5)
-    )
-    return CorrelationVector(canonical_scenario(5), values)
+    x = _batch(params)
+    vs = contextual_cone_vectors(x[:, 0])
+    state_angle = x[:, 1:2]
+    weights = (vs[:, :, 0] * np.sin(state_angle) + vs[:, :, 2] * np.cos(state_angle)) ** 2
+    return 1.0 - 2.0 * weights - 2.0 * np.roll(weights, -1, axis=1)
 
 
 def default_space_and_evaluator(kind: str, n: int = 5) -> tuple[SearchSpace, Evaluator]:
@@ -190,54 +216,95 @@ def default_space_and_evaluator(kind: str, n: int = 5) -> tuple[SearchSpace, Eva
 
 
 def nelder_mead(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray,
     initial_step: np.ndarray,
     *,
     max_iter: int = 600,
     f_tol: float = 1e-13,
     x_tol: float = 1e-7,
-) -> tuple[np.ndarray, float]:
-    """Minimize f by simplex reflection/expansion/contraction/shrink."""
-    dim = x0.size
-    points = [np.array(x0, dtype=float)]
-    for i in range(dim):
-        step = np.array(x0, dtype=float)
-        step[i] += initial_step[i]
-        points.append(step)
-    values = [f(p) for p in points]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize f from every row of x0 at once; returns (S, dim) points, (S,) values.
+
+    ``f`` maps a (B, dim) batch to B values. The S simplices move in
+    lockstep, each start choosing reflection, expansion, contraction or
+    shrink by its own masks, so every start takes exactly the steps of a
+    lone scalar run. A start freezes once its value spread is <= f_tol and
+    its simplex size <= x_tol, or after max_iter iterations.
+    """
+    x0 = _batch(x0)
+    starts, dim = x0.shape
+    points = np.repeat(x0[:, None, :], dim + 1, axis=1)
+    points[:, 1:, :] += np.diag(initial_step)
+    values = f(points.reshape(-1, dim)).reshape(starts, dim + 1)
+    out_points, out_values = np.empty((starts, dim)), np.empty(starts)
+    ids = np.arange(starts)
+    rows = np.arange(starts)[:, None]
+
+    def freeze(mask):
+        best = np.argmin(values[mask], axis=1)
+        out_points[ids[mask]] = points[mask, best]
+        out_values[ids[mask]] = values[mask, best]
+
     for _ in range(max_iter):
-        order = np.argsort(values, kind="stable")
-        points = [points[i] for i in order]
-        values = [values[i] for i in order]
-        spread = values[-1] - values[0]
-        size = max(np.max(np.abs(p - points[0])) for p in points[1:])
-        if spread <= f_tol and size <= x_tol:
-            break
-        centroid = np.mean(points[:-1], axis=0)
-        worst = points[-1]
+        order = np.argsort(values, axis=1, kind="stable")
+        points, values = points[rows, order], values[rows, order]
+        spread = values[:, -1] - values[:, 0]
+        size = np.max(np.abs(points[:, 1:] - points[:, :1]), axis=(1, 2))
+        done = (spread <= f_tol) & (size <= x_tol)
+        if done.any():
+            freeze(done)
+            keep = ~done
+            ids, points, values = ids[keep], points[keep], values[keep]
+            rows = rows[: ids.size]
+            if not ids.size:
+                break
+        centroid = points[:, :-1].mean(axis=1)
+        worst = points[:, -1]
         reflected = centroid + (centroid - worst)
         fr = f(reflected)
-        if fr < values[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            fe = f(expanded)
-            if fe < fr:
-                points[-1], values[-1] = expanded, fe
-            else:
-                points[-1], values[-1] = reflected, fr
-        elif fr < values[-2]:
-            points[-1], values[-1] = reflected, fr
-        else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            fc = f(contracted)
-            if fc < values[-1]:
-                points[-1], values[-1] = contracted, fc
-            else:
-                best = points[0]
-                points = [best] + [best + 0.5 * (p - best) for p in points[1:]]
-                values = [values[0]] + [f(p) for p in points[1:]]
-    best = int(np.argmin(values))
-    return points[best], values[best]
+        expand = fr < values[:, 0]
+        contract = ~expand & ~(fr < values[:, -2])
+        trial = expand | contract
+        tried, ft = reflected.copy(), np.full(ids.size, np.nan)
+        if trial.any():
+            # Expansion or contraction point of each start that needs one;
+            # -0.5 * (centroid - worst) is exactly 0.5 * (worst - centroid).
+            toward = np.where(expand[trial], 2.0, -0.5)[:, None]
+            tried[trial] = centroid[trial] + toward * (centroid[trial] - worst[trial])
+            ft[trial] = f(tried[trial])
+        use_trial = (expand & (ft < fr)) | (contract & (ft < values[:, -1]))
+        shrink = contract & ~use_trial
+        move = ~shrink
+        points[move, -1] = np.where(use_trial[:, None], tried, reflected)[move]
+        values[move, -1] = np.where(use_trial, ft, fr)[move]
+        if shrink.any():
+            best = points[shrink, :1]
+            shrunk = best + 0.5 * (points[shrink, 1:] - best)
+            points[shrink, 1:] = shrunk
+            values[shrink, 1:] = f(shrunk.reshape(-1, dim)).reshape(-1, dim)
+    if ids.size:
+        freeze(np.ones(ids.size, bool))
+    return out_points, out_values
+
+
+def lhs_objective(scenario: CycleScenario, evaluator: Evaluator) -> Callable[[np.ndarray], np.ndarray]:
+    """(B, dim) parameters -> (B,) inequality values of ``scenario``."""
+    signs = np.asarray(scenario.signs, dtype=float)
+
+    def objective(batch: np.ndarray) -> np.ndarray:
+        correlators = np.asarray(evaluator(batch))
+        if correlators.ndim != 2 or correlators.shape[1] != scenario.n:
+            raise PreconditionError(
+                f"evaluator returned correlators of shape {correlators.shape}, "
+                f"expected (B, {scenario.n})"
+            )
+        # A row-wise product-sum rather than a BLAS matrix-vector product,
+        # whose rounding depends on the batch size: each start's score, and
+        # so its whole run, must not depend on which starts share its batch.
+        return (correlators * signs).sum(axis=1)
+
+    return objective
 
 
 def minimize_lhs(
@@ -250,34 +317,23 @@ def minimize_lhs(
 ) -> tuple[np.ndarray, float]:
     """Multi-start simplex search for the minimal inequality value.
 
-    Starts are drawn uniformly over the box from ``seed``; the result never
-    exceeds the best seed evaluation and is deterministic given the seed.
+    All starts are drawn uniformly over the box from ``seed`` and run in
+    lockstep; the result never exceeds the best seed evaluation, ties go to
+    the lowest start index, and a seed fixes the result exactly.
     """
     if starts < 1:
         raise PreconditionError("need at least one start")
-
-    def objective(params: np.ndarray) -> float:
-        c = evaluator(params)
-        if c.scenario != scenario:
-            raise PreconditionError("evaluator produced a different scenario")
-        return inequality_lhs(c)
-
+    objective = lhs_objective(scenario, evaluator)
     rng = np.random.default_rng(seed)
     lows = np.array([lo for lo, _ in space.bounds])
     highs = np.array([hi for _, hi in space.bounds])
-    steps = 0.1 * (highs - lows)
-    best_params: np.ndarray | None = None
-    best_value = math.inf
-    for _ in range(starts):
-        x0 = rng.uniform(lows, highs)
-        f0 = objective(x0)
-        x, fx = nelder_mead(objective, x0, steps)
-        if f0 < fx:
-            x, fx = x0, f0
-        if fx < best_value:
-            best_params, best_value = x, fx
-    assert best_params is not None
-    return best_params, best_value
+    x0 = rng.uniform(lows, highs, size=(starts, space.dimension))
+    f0 = objective(x0)
+    x, fx = nelder_mead(objective, x0, 0.1 * (highs - lows))
+    fallback = f0 < fx
+    x[fallback], fx[fallback] = x0[fallback], f0[fallback]
+    best = int(np.argmin(fx))
+    return x[best], float(fx[best])
 
 
 def scan_chained(n_min: int, n_max: int):

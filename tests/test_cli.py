@@ -49,6 +49,20 @@ class TestEvaluate:
         assert code == 0
         assert "lhs" in out and "violated" in out
 
+    def test_argv_header_echoes_main_arguments(self, capsys):
+        code, out = run_cli(capsys, "evaluate", "chained-5", "--format", "structured")
+        assert code == 0
+        assert "# argv = evaluate chained-5 --format structured" in out.splitlines()
+
+    def test_chained_cap_checked_before_building(self, capsys, monkeypatch):
+        def refuse(name):
+            raise AssertionError(f"built {name} past the enumeration cap")
+
+        monkeypatch.setattr("qcycle.quantum.build", refuse)
+        monkeypatch.setattr("qcycle.cli.build", refuse)
+        code, _ = run_cli(capsys, "evaluate", "chained-3000")
+        assert code == 3
+
 
 class TestBound:
     def test_canonical_five(self, capsys):
@@ -109,6 +123,34 @@ class TestFeasibility:
         path = tmp_path / "bare.txt"
         save_scenario(ScenarioFile(canonical_scenario(5)), path)
         code, _ = run_cli(capsys, "feasibility", str(path))
+        assert code == 2
+
+
+class TestMalformedInput:
+    def test_non_finite_correlator_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("n = 5\nsigns = +1 +1 +1 +1 +1\ncorrelators = nan -0.5 -0.5 -0.5 -0.5\n")
+        code, _ = run_cli(capsys, "feasibility", str(path))
+        assert code == 2
+
+    def test_non_finite_single_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "nan-single.txt"
+        path.write_text(
+            "n = 5\nsigns = +1 +1 +1 +1 +1\ncorrelators = -0.5 -0.5 -0.5 -0.5 -0.5\n"
+            "singles = nan 0 0 0 0\n"
+        )
+        code, _ = run_cli(capsys, "feasibility", str(path))
+        assert code == 2
+
+    def test_fractional_n_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "fractional.txt"
+        path.write_text("n = 5.5\nsigns = +1 +1 +1 +1 +1\n")
+        code, _ = run_cli(capsys, "bound", "--file", str(path))
+        assert code == 2
+
+    @pytest.mark.parametrize("argv", [("bound", "--file"), ("feasibility",)])
+    def test_missing_file_is_usage_error(self, capsys, tmp_path, argv):
+        code, _ = run_cli(capsys, *argv, str(tmp_path / "missing.txt"))
         assert code == 2
 
 

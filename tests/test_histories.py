@@ -266,12 +266,12 @@ class TestLgDecomposition:
         # interference is present there too.
         from qcycle.search import nelder_mead
 
-        def objective(angles):
-            return lg_decomposition(family_from_bloch_angles(angles)).lhs
+        def objective(batch):
+            return np.array([lg_decomposition(family_from_bloch_angles(a)).lhs for a in batch])
 
-        x, value = nelder_mead(objective, np.array([0.1, 2.0, 4.0]), np.full(3, 0.3))
-        assert value == pytest.approx(-1.5, abs=1e-8)
-        dec = lg_decomposition(family_from_bloch_angles(x))
+        x, value = nelder_mead(objective, np.array([[0.1, 2.0, 4.0]]), np.full(3, 0.3))
+        assert value[0] == pytest.approx(-1.5, abs=1e-8)
+        dec = lg_decomposition(family_from_bloch_angles(x[0]))
         assert any(abs(v) > 1e-3 for _, _, v, _ in dec.pair_classification)
 
 

@@ -35,6 +35,11 @@ class TestInequalityLhs:
         with pytest.raises(PreconditionError):
             CorrelationVector(canonical_scenario(3), (0.0, 0.0, 1.5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_correlator_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            CorrelationVector(canonical_scenario(3), (0.0, bad, 0.0))
+
 
 class TestClassicalBound:
     def test_five_cycle(self):

@@ -7,11 +7,12 @@ from qcycle.errors import PreconditionError
 from qcycle.quantum import build
 from qcycle.scenario import canonical_scenario, inequality_lhs
 from qcycle.search import (
+    SPACE_KINDS,
     SearchSpace,
-    bloch_angles_evaluator,
     contextual_cone_evaluator,
     contextual_cone_vectors,
     default_space_and_evaluator,
+    lhs_objective,
     minimize_lhs,
     nelder_mead,
     scan_chained,
@@ -20,9 +21,32 @@ from qcycle.search import (
     temporal_times_space,
 )
 
+import search_oracles
+
 FIVE_CYCLE_OPTIMUM = -5.0 * math.cos(math.pi / 5.0)
 CONTEXTUAL_OPTIMUM = 5.0 - 4.0 * math.sqrt(5.0)
 PENTAGRAM_HALF_ANGLE = math.acos(math.sqrt(1.0 / math.sqrt(5.0)))
+DEGENERATE_HALF_ANGLE = math.acos(1.0 / math.sqrt(3.0))
+
+# Each evaluator at the parameters of its validated builder. The spatial
+# builder settings sit at Bloch angles -4*pi*i/5.
+PROTOCOL_POINTS = {
+    "temporal-times": ("kcbs-temporal", [0.0, 0.25, 0.5, 0.75, 1.0]),
+    "bloch-angles": ("kcbs-spatial", [-4 * math.pi * i / 5 for i in range(5)]),
+    "contextual-cone": ("kcbs-contextual", [PENTAGRAM_HALF_ANGLE, 0.0]),
+}
+
+
+def box(space):
+    lows = np.array([lo for lo, _ in space.bounds])
+    highs = np.array([hi for _, hi in space.bounds])
+    return lows, highs
+
+
+def assert_compatible_cycles(vs):
+    assert np.allclose(np.linalg.norm(vs, axis=2), 1.0, atol=1e-12)
+    adjacent = np.einsum("bij,bij->bi", vs, np.roll(vs, -1, axis=1))
+    assert np.max(np.abs(adjacent)) < 1e-10
 
 
 class TestSearchSpace:
@@ -41,54 +65,106 @@ class TestSearchSpace:
 
 class TestEvaluators:
     def test_temporal_matches_builder_at_protocol_times(self):
-        c = temporal_times_evaluator(np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-        builder = build("kcbs-temporal").correlations
-        assert np.allclose(c.values, builder.values, atol=1e-12)
+        self.assert_matches_builder("temporal-times")
 
     def test_bloch_matches_spatial_builder(self):
-        # The builder settings sit at Bloch angles -4*pi*i/5.
-        angles = np.array([-4 * math.pi * i / 5 for i in range(5)])
-        c = bloch_angles_evaluator(angles)
-        builder = build("kcbs-spatial").correlations
-        assert np.allclose(c.values, builder.values, atol=1e-12)
+        self.assert_matches_builder("bloch-angles")
 
     def test_contextual_matches_builder_at_pentagram(self):
-        c = contextual_cone_evaluator(np.array([PENTAGRAM_HALF_ANGLE, 0.0]))
-        builder = build("kcbs-contextual").correlations
-        assert np.allclose(c.values, builder.values, atol=1e-12)
+        self.assert_matches_builder("contextual-cone")
+
+    @staticmethod
+    def assert_matches_builder(kind):
+        builder, params = PROTOCOL_POINTS[kind]
+        _, evaluator = default_space_and_evaluator(kind)
+        c = evaluator(np.array([params, params]))
+        assert c.shape == (2, 5)
+        assert np.allclose(c, build(builder).correlations.values, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", SPACE_KINDS)
+    def test_matches_scalar_oracle_at_random_points(self, kind):
+        space, evaluator = default_space_and_evaluator(kind)
+        lows, highs = box(space)
+        points = np.random.default_rng(11).uniform(lows, highs, size=(200, space.dimension))
+        if kind == "contextual-cone":
+            # Half-angles where the fourth cone vector meets the first.
+            points[:2, 0] = (DEGENERATE_HALF_ANGLE, math.pi - DEGENERATE_HALF_ANGLE)
+        batch = evaluator(points)
+        oracle = np.array([search_oracles.ORACLES[kind](p).values for p in points])
+        assert batch.shape == (200, 5)
+        assert np.max(np.abs(batch - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", SPACE_KINDS)
+    def test_one_point_is_a_batch_of_one(self, kind):
+        _, params = PROTOCOL_POINTS[kind]
+        _, evaluator = default_space_and_evaluator(kind)
+        c = evaluator(np.array(params))
+        assert c.shape == (1, 5)
+        assert np.array_equal(c[0], evaluator(np.array([params]))[0])
 
     @pytest.mark.parametrize("theta", np.linspace(math.pi / 4, 3 * math.pi / 4, 9))
     def test_cone_cycle_always_compatible(self, theta):
         # Adjacent vectors stay exactly orthogonal across the whole box, so
         # every evaluated point is a valid compatible cycle.
         vs = contextual_cone_vectors(theta)
-        assert np.allclose(np.linalg.norm(vs, axis=1), 1.0, atol=1e-12)
-        for i in range(5):
-            assert abs(np.dot(vs[i], vs[(i + 1) % 5])) < 1e-10
+        assert vs.shape == (1, 5, 3)
+        assert_compatible_cycles(vs)
 
     def test_cone_degenerate_closure(self):
         # cos^2 = 1/3 makes the fourth vector coincide with the first; the
         # completion must still return a valid orthogonal closure.
-        theta = math.acos(1.0 / math.sqrt(3.0))
-        vs = contextual_cone_vectors(theta)
-        for i in range(5):
-            assert abs(np.dot(vs[i], vs[(i + 1) % 5])) < 1e-10
+        assert_compatible_cycles(
+            contextual_cone_vectors([DEGENERATE_HALF_ANGLE, math.pi - DEGENERATE_HALF_ANGLE])
+        )
 
     def test_cone_values_in_range(self):
         rng = np.random.default_rng(0)
-        for _ in range(50):
-            params = rng.uniform((math.pi / 4, 0.0), (3 * math.pi / 4, math.pi))
-            c = contextual_cone_evaluator(params)
-            assert all(-1 - 1e-12 <= v <= 1 + 1e-12 for v in c.values)
+        params = rng.uniform((math.pi / 4, 0.0), (3 * math.pi / 4, math.pi), size=(50, 2))
+        c = contextual_cone_evaluator(params)
+        assert np.all(np.abs(c) <= 1 + 1e-12)
+
+
+def scored(kind):
+    space, evaluator = default_space_and_evaluator(kind)
+    lows, highs = box(space)
+    return lhs_objective(canonical_scenario(5), evaluator), lows, highs
 
 
 class TestNelderMead:
     def test_quadratic_bowl(self):
         x, value = nelder_mead(
-            lambda p: float(np.sum((p - 1.5) ** 2)), np.zeros(3), np.full(3, 0.5)
+            lambda p: np.sum((p - 1.5) ** 2, axis=1), np.zeros((1, 3)), np.full(3, 0.5)
         )
-        assert value < 1e-12
-        assert np.allclose(x, 1.5, atol=1e-5)
+        assert value[0] < 1e-12
+        assert np.allclose(x[0], 1.5, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", SPACE_KINDS)
+    def test_lockstep_starts_are_independent(self, kind):
+        objective, lows, highs = scored(kind)
+        x0 = np.random.default_rng(5).uniform(lows, highs, size=(16, lows.size))
+        steps = 0.1 * (highs - lows)
+        x, value = nelder_mead(objective, x0, steps)
+        for k in range(16):
+            alone_x, alone_value = nelder_mead(objective, x0[k:k + 1], steps)
+            assert np.max(np.abs(alone_x[0] - x[k])) <= 1e-12
+            assert abs(alone_value[0] - value[k]) <= 1e-12
+
+    @pytest.mark.parametrize("max_iter", [7, 600])
+    @pytest.mark.parametrize("kind", SPACE_KINDS)
+    def test_each_start_follows_the_scalar_decisions(self, kind, max_iter):
+        # The same objective through the one-start scalar simplex: identical
+        # moves give identical points, whether a start converges or is cut
+        # off at max_iter.
+        objective, lows, highs = scored(kind)
+        x0 = np.random.default_rng(6).uniform(lows, highs, size=(8, lows.size))
+        steps = 0.1 * (highs - lows)
+        x, value = nelder_mead(objective, x0, steps, max_iter=max_iter)
+        for k in range(8):
+            ref_x, ref_value = search_oracles.nelder_mead(
+                lambda p: float(objective(p[None, :])[0]), x0[k], steps, max_iter=max_iter
+            )
+            assert np.array_equal(ref_x, x[k])
+            assert ref_value == value[k]
 
 
 class TestMinimizeLhs:
@@ -97,12 +173,22 @@ class TestMinimizeLhs:
         space, evaluator = default_space_and_evaluator("contextual-cone")
         scenario = canonical_scenario(5)
         _, value = minimize_lhs(space, scenario, evaluator, seed=4, starts=16)
-        rng = np.random.default_rng(4)
-        lows = np.array([lo for lo, _ in space.bounds])
-        highs = np.array([hi for _, hi in space.bounds])
-        for _ in range(16):
-            start = rng.uniform(lows, highs)
-            assert value <= inequality_lhs(evaluator(start)) + 1e-12
+        lows, highs = box(space)
+        starts = np.random.default_rng(4).uniform(lows, highs, size=(16, 2))
+        for start in starts:
+            assert value <= inequality_lhs(search_oracles.contextual_cone(start)) + 1e-12
+
+    def test_ties_go_to_the_lowest_start(self):
+        # A flat objective ties every start; the first drawn start wins.
+        space = temporal_times_space(5)
+
+        def flat(batch):
+            return np.zeros((len(batch), 5))
+
+        x, value = minimize_lhs(space, canonical_scenario(5), flat, seed=3, starts=8)
+        first = np.random.default_rng(3).uniform(*box(space), size=(8, 5))[0]
+        assert value == 0.0
+        assert np.array_equal(x, first)
 
     def test_deterministic_given_seed(self):
         space, evaluator = default_space_and_evaluator("contextual-cone")
