@@ -3,7 +3,7 @@
 Builds the standard quantum configurations violating the five-cycle (KCBS),
 three-measurement (Leggett-Garg) and chained inequalities in contextual,
 temporal and spatial readings, evaluates the inequalities against
-enumeration-based classical bounds, decides joint-probability-distribution
+closed-form classical bounds, decides joint-probability-distribution
 existence by linear programming, and decomposes temporal violations into
 consistent-histories interference terms.
 """

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .histories import family_from_bloch_angles, lg_decomposition
-from .jpd import correlators_to_marginals, jpd_feasible, witness_to_text
+from .jpd import check_lp_cap, correlators_to_marginals, jpd_feasible, witness_to_text
 from .quantum import build, builder_cycle_length
 from .report import RunReport, csv_lines, violated
 from .scenario import (
@@ -115,21 +115,18 @@ def cmd_bound(args) -> int:
 
 def _marginals_for(args):
     """MarginalSet plus provenance fields from a builder name or file."""
+    builder = args.input
     if args.input.endswith(".txt") or "/" in args.input or args.input == "-":
         doc = load_scenario(args.input)
         if doc.correlators is not None:
             corr = CorrelationVector(doc.scenario, doc.correlators)
-            singles = doc.singles
-            name = f"file:{args.input}"
-        elif doc.builder is not None:
-            result = build(doc.builder)
-            corr, singles, name = result.correlations, result.singles, doc.builder
-        else:
+            return correlators_to_marginals(corr, doc.singles), corr, f"file:{args.input}"
+        if doc.builder is None:
             raise PreconditionError("scenario file needs correlators or a builder")
-    else:
-        result = build(args.input)
-        corr, singles, name = result.correlations, result.singles, result.name
-    return correlators_to_marginals(corr, singles), corr, name
+        builder = doc.builder
+    check_lp_cap(builder_cycle_length(builder))
+    result = build(builder)
+    return correlators_to_marginals(result.correlations, result.singles), result.correlations, result.name
 
 
 def cmd_feasibility(args) -> int:
@@ -349,7 +346,7 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_eval)
     p_eval.set_defaults(func=cmd_evaluate)
 
-    p_bound = sub.add_parser("bound", help="classical bound of a cycle scenario by enumeration")
+    p_bound = sub.add_parser("bound", help="classical bound of a cycle scenario from its sign parity")
     p_bound.add_argument("--n", type=int)
     p_bound.add_argument("--signs", nargs="+")
     p_bound.add_argument("--file", help="scenario description file")

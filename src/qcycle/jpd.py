@@ -199,12 +199,17 @@ def _phase1_simplex(
     return float(-tableau[m, -1]), x
 
 
+def check_lp_cap(n: int) -> None:
+    """Raise ResourceLimitError when the 2^n-variable LP exceeds the cap."""
+    if n > LP_VARIABLE_CAP:
+        raise ResourceLimitError(
+            f"LP feasibility capped at n <= {LP_VARIABLE_CAP}, got {n}"
+        )
+
+
 def jpd_feasible(m: MarginalSet, *, pivot: str = "bland") -> JpdWitness:
     """Decide whether a joint distribution reproduces all pair marginals."""
-    if m.n > LP_VARIABLE_CAP:
-        raise ResourceLimitError(
-            f"LP feasibility capped at n <= {LP_VARIABLE_CAP}, got {m.n}"
-        )
+    check_lp_cap(m.n)
     a, labels = _pair_constraint_matrix(m.n)
     b = np.empty(len(labels))
     b[0] = 1.0

@@ -52,21 +52,6 @@ def dag(m) -> np.ndarray:
     return as_matrix(m).conj().T.copy()
 
 
-def matmul(*ms) -> np.ndarray:
-    out = as_matrix(ms[0])
-    for m in ms[1:]:
-        out = out @ as_matrix(m)
-    return out
-
-
-def add(a, b) -> np.ndarray:
-    return as_matrix(a) + as_matrix(b)
-
-
-def scale(m, z) -> np.ndarray:
-    return as_matrix(m) * complex(z)
-
-
 def trace(m) -> complex:
     return complex(np.trace(as_matrix(m)))
 

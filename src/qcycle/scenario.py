@@ -3,8 +3,12 @@
 A cycle scenario is n dichotomic observables of which only cyclically
 adjacent pairs are co-measurable, together with the sign of each term in the
 tested inequality sum(signs[i] * <X_i X_{i+1 mod n}>). The canonical pattern
-is all +1 except the wrap term, which carries (-1)^(n-1); the classical
-(joint-distribution) bound for it is -n+2.
+is all +1 except the wrap term, which carries (-1)^(n-1).
+
+The classical (joint-distribution) bound depends only on the sign parity:
+-n when prod(-signs[i]) = 1 and -n+2 otherwise (Araujo, Quintino, Budroni,
+Terra Cunha and Cabello, PRA 88, 022118 (2013)), so it is -n+2 for the
+canonical pattern.
 
 Sign patterns are explicit rather than hard-coded so the three-observable
 Leggett-Garg inequality (all-plus, n=3) and the general chained form share
@@ -23,7 +27,6 @@ from .errors import PreconditionError, ResourceLimitError
 from .linalg import Observable, State
 
 ENUMERATION_CAP = 24
-_CHUNK_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -71,35 +74,22 @@ def inequality_lhs(c: CorrelationVector) -> float:
 
 
 def check_enumeration_cap(n: int, max_n: int = ENUMERATION_CAP) -> None:
-    """Raise ResourceLimitError when the 2^n enumeration exceeds the cap."""
+    """Raise ResourceLimitError when n exceeds the documented bound cap ``max_n``."""
     if n > max_n:
         raise ResourceLimitError(f"enumeration capped at n <= {max_n}, got {n}")
 
 
-def classical_bound(scenario: CycleScenario, *, max_n: int = ENUMERATION_CAP) -> int:
+def classical_bound(scenario: CycleScenario) -> int:
     """Minimum of the signed sum over all deterministic +-1 assignments.
 
-    Exhausts the 2^n assignments (x and -x give equal values, so x_0 is
-    pinned to +1), chunked to keep memory flat. Canonical sign patterns give
-    exactly -n+2.
+    With y_i = x_i x_{i+1} the sum is sum(s_i y_i), and since each x_i appears
+    in two terms the only constraint on y is prod(y_i) = 1. So the minimum is
+    -n when y_i = -s_i is allowed (prod(-s_i) = 1) and -n+2 otherwise, with
+    one frustrated term. Canonical sign patterns give -n+2.
     """
     n = scenario.n
-    check_enumeration_cap(n, max_n)
-    signs = np.asarray(scenario.signs, dtype=np.int64)
-    total = 1 << (n - 1)
-    chunk = 1 << _CHUNK_BITS
-    bits = np.arange(n - 1, dtype=np.int64)
-    best = None
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        x = np.empty((idx.size, n), dtype=np.int8)
-        x[:, 0] = 1
-        x[:, 1:] = 1 - 2 * ((idx[:, None] >> bits) & 1)
-        terms = (x * np.roll(x, -1, axis=1)).astype(np.int64)
-        vals = terms @ signs
-        low = int(vals.min())
-        best = low if best is None else min(best, low)
-    return best
+    check_enumeration_cap(n)
+    return -n if math.prod(scenario.signs) == (-1) ** n else -n + 2
 
 
 @dataclass(frozen=True)

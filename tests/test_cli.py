@@ -115,6 +115,18 @@ class TestFeasibility:
         fields = structured(capsys, "feasibility", str(path))
         assert fields["feasible"] == "true"
 
+    def test_lp_cap_checked_before_building(self, capsys, monkeypatch, tmp_path):
+        def refuse(name):
+            raise AssertionError(f"built {name} past the LP cap")
+
+        monkeypatch.setattr("qcycle.quantum.build", refuse)
+        monkeypatch.setattr("qcycle.cli.build", refuse)
+        path = tmp_path / "chained.txt"
+        save_scenario(ScenarioFile(canonical_scenario(3000), builder="chained-3000"), path)
+        for source in ("chained-3000", str(path)):
+            code, _ = run_cli(capsys, "feasibility", source)
+            assert code == 3
+
     def test_dantzig_pivot(self, capsys):
         fields = structured(capsys, "feasibility", "kcbs-temporal", "--pivot", "dantzig")
         assert fields["feasible"] == "false"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bound_oracle import enumerated_bound
 from qcycle.errors import PreconditionError, ResourceLimitError
 from qcycle.scenario import (
     CorrelationVector,
@@ -54,6 +55,22 @@ class TestClassicalBound:
     @pytest.mark.parametrize("n", range(3, 13))
     def test_canonical_matches_closed_form(self, n):
         assert classical_bound(canonical_scenario(n)) == -n + 2
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_every_sign_pattern_matches_enumeration(self, n):
+        for bits in range(1 << n):
+            signs = tuple(-1 if (bits >> i) & 1 else 1 for i in range(n))
+            assert classical_bound(CycleScenario(n, signs)) == enumerated_bound(signs)
+
+    @pytest.mark.parametrize("n", range(11, 19))
+    def test_random_sign_patterns_match_enumeration(self, n):
+        # Each draw is checked with its first sign flipped too, so both
+        # parity classes appear at every n.
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            signs = [int(s) for s in rng.choice((-1, 1), size=n)]
+            for pattern in (signs, [-signs[0]] + signs[1:]):
+                assert classical_bound(CycleScenario(n, tuple(pattern))) == enumerated_bound(pattern)
 
     def test_cap_enforced(self):
         with pytest.raises(ResourceLimitError):
