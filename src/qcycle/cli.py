@@ -132,7 +132,7 @@ def _marginals_for(args):
 def cmd_feasibility(args) -> int:
     started = time.perf_counter()
     marginals, corr, name = _marginals_for(args)
-    witness = jpd_feasible(marginals, pivot=args.pivot)
+    witness = jpd_feasible(marginals)
     lhs = float(np.dot(corr.scenario.signs, corr.values))
     bound = classical_bound(corr.scenario)
     report = RunReport("feasibility", args.argv)
@@ -145,8 +145,11 @@ def cmd_feasibility(args) -> int:
     report.add("classical_bound", bound)
     report.add("violated", violated(lhs, bound))
     report.add("feasible", witness.feasible)
-    report.add("max_residual", witness.max_constraint_residual)
-    report.add("phase1_objective", witness.phase1_objective)
+    report.add("facet_signs", tuple(f"{g:+d}" for g in witness.facet_signs))
+    report.add("facet_excess", witness.facet_excess)
+    if witness.feasible:
+        report.add("max_residual", witness.max_constraint_residual)
+        report.add("phase1_objective", witness.phase1_objective)
     report.add("near_boundary", witness.near_boundary)
     if args.witness:
         path = _out_path(args.witness)
@@ -275,7 +278,7 @@ def cmd_selftest(args) -> int:
         worst = max(worst, abs(seq - qm.anticommutator_correlation(rho, x, y)))
     check("sequential vs symmetrized", worst < 1e-10, f"max diff {worst:.2e}")
 
-    # LP verdicts on the anchor cases.
+    # Feasibility verdicts on the anchor cases.
     temporal = build("kcbs-temporal")
     m = correlators_to_marginals(temporal.correlations, temporal.singles)
     check("temporal marginals infeasible", not jpd_feasible(m).feasible)
@@ -353,10 +356,13 @@ def make_parser() -> argparse.ArgumentParser:
     common(p_bound)
     p_bound.set_defaults(func=cmd_bound)
 
-    p_feas = sub.add_parser("feasibility", help="joint-distribution feasibility by linear programming")
+    p_feas = sub.add_parser(
+        "feasibility",
+        help="joint-distribution feasibility from the odd-parity facets; "
+        "a feasible set gets a witness distribution by linear programming",
+    )
     p_feas.add_argument("input", help="builder name or scenario file path")
     p_feas.add_argument("--witness", help="export the witness distribution to this path")
-    p_feas.add_argument("--pivot", choices=("bland", "dantzig"), default="bland")
     common(p_feas)
     p_feas.set_defaults(func=cmd_feasibility)
 

@@ -1,11 +1,16 @@
 """Joint-probability-distribution feasibility for cycle marginals.
 
 Decides whether a single distribution over all 2^n deterministic assignments
-reproduces the given adjacent-pair marginals. The question is a linear
-program over assignment weights: nonnegative variables q(x), a normalization
-row, and one row per pair and outcome combination. It is solved by an
-in-repo dense phase-1 simplex with Bland's rule (anti-cycling); a Dantzig
-pivot rule is available as a second path for cross-checking verdicts.
+reproduces the given adjacent-pair marginals. For the n-cycle the answer has
+a closed form (Araújo, Quintino, Budroni, Terra Cunha and Cabello, PRA 88,
+022118 (2013)): a joint distribution exists iff every pair cell is
+nonnegative, which ``MarginalSet`` enforces, and no odd-parity facet
+sum(g_i c_i) <= n - 2 is violated, where g ranges over sign vectors with an
+odd number of -1s and c_i = <X_i X_{i+1}>. The verdict is that O(n) rule.
+A feasible set then gets an explicit witness distribution from the linear
+program over assignment weights: nonnegative variables q(x), a
+normalization row, and one row per pair and outcome combination, solved by
+an in-repo dense phase-1 simplex with Bland's rule (anti-cycling).
 
 Outcome encoding: assignment index x in [0, 2^n); bit b of x set means
 observable b takes the value -1, clear means +1.
@@ -45,6 +50,8 @@ class MarginalSet:
             raise PreconditionError(f"cells must have shape ({self.n}, 2, 2)")
         if self.n < 3:
             raise PreconditionError("need a cycle of at least 3 observables")
+        if not np.all(np.isfinite(cells)):
+            raise PreconditionError("pair probabilities must be finite")
         if np.any(cells < -1e-12):
             raise PreconditionError("negative pair probability")
         sums = cells.sum(axis=(1, 2))
@@ -112,19 +119,44 @@ def correlators_to_marginals(
 class JpdWitness:
     """Feasibility verdict with an explicit distribution when one exists.
 
-    ``distribution`` maps assignment indices to weights (nonzero entries
-    only). ``max_constraint_residual`` is re-verified directly from the
-    witness, independently of the solver; for infeasible sets it reports the
-    phase-1 optimum, the total constraint violation of the closest candidate.
-    ``near_boundary`` flags a phase-1 optimum inside (0, FEASIBILITY_TOL],
-    reported as feasible-within-tolerance rather than silently rounded.
+    ``facet_signs`` is the odd-parity sign vector g maximising sum(g_i c_i)
+    and ``facet_excess`` is that maximum minus (n - 2): the signed distance
+    of the closest facet, positive when it is violated. ``distribution``
+    maps assignment indices to weights (nonzero entries only).
+    ``max_constraint_residual`` is re-verified directly from the witness,
+    independently of the solver; for infeasible sets, where no LP is built,
+    it is the facet excess. ``phase1_objective`` is the simplex optimum of a
+    feasible set and None otherwise. ``near_boundary`` flags a facet excess
+    inside (1e-12, FEASIBILITY_TOL], reported as feasible-within-tolerance
+    rather than silently rounded.
     """
 
     feasible: bool
     distribution: dict[int, float] | None
     max_constraint_residual: float
-    phase1_objective: float
+    phase1_objective: float | None
+    facet_signs: tuple[int, ...]
+    facet_excess: float
     near_boundary: bool = False
+
+
+def _closest_facet(m: MarginalSet) -> tuple[tuple[int, ...], float]:
+    """(g, excess) of the odd-parity facet sum(g_i c_i) <= n - 2 nearest to m.
+
+    The maximum of sum(g_i c_i) over all sign vectors is sum|c_i|, at g_i =
+    sign(c_i) (+1 for c_i = 0); when that g has an even number of -1s, the
+    odd-parity maximum flips the entry of smallest |c_i| (lowest index on
+    ties) and loses 2 min|c_i|.
+    """
+    c = np.array([m.correlator(i) for i in range(m.n)])
+    size = np.abs(c)
+    gamma = np.where(c < 0, -1, 1)
+    total = float(size.sum())
+    if np.count_nonzero(gamma < 0) % 2 == 0:
+        k = int(np.argmin(size))
+        gamma[k] = -gamma[k]
+        total -= 2.0 * float(size[k])
+    return tuple(int(g) for g in gamma), total - (m.n - 2)
 
 
 def _pair_constraint_matrix(n: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
@@ -143,13 +175,12 @@ def _pair_constraint_matrix(n: int) -> tuple[np.ndarray, list[tuple[int, int, in
     return np.vstack(rows), labels
 
 
-def _phase1_simplex(
-    a: np.ndarray, b: np.ndarray, pivot: str = "bland", tol: float = 1e-11
-) -> tuple[float, np.ndarray]:
+def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> tuple[float, np.ndarray]:
     """Minimize the sum of artificial variables for A x = b, x >= 0, b >= 0.
 
-    Returns (phase-1 optimum, x). Bland's rule guarantees termination;
-    Dantzig's rule (most negative reduced cost) is the alternative pivot.
+    Returns (phase-1 optimum, x). Bland's rule (lowest-index entering column,
+    lowest-index basic variable among tied leaving rows) guarantees
+    termination in exact arithmetic.
     """
     m, n = a.shape
     if np.any(b < 0):
@@ -164,18 +195,10 @@ def _phase1_simplex(
     tableau[m, n : n + m] = 0.0
     max_iter = 200 * (m + n)
     for _ in range(max_iter):
-        costs = tableau[m, : n + m]
-        if pivot == "bland":
-            candidates = np.nonzero(costs < -tol)[0]
-            if candidates.size == 0:
-                break
-            col = int(candidates[0])
-        elif pivot == "dantzig":
-            col = int(np.argmin(costs))
-            if costs[col] >= -tol:
-                break
-        else:
-            raise PreconditionError(f"unknown pivot rule {pivot!r}")
+        candidates = np.nonzero(tableau[m, : n + m] < -tol)[0]
+        if candidates.size == 0:
+            break
+        col = int(candidates[0])
         column = tableau[:m, col]
         positive = np.nonzero(column > tol)[0]
         if positive.size == 0:
@@ -207,17 +230,24 @@ def check_lp_cap(n: int) -> None:
         )
 
 
-def jpd_feasible(m: MarginalSet, *, pivot: str = "bland") -> JpdWitness:
-    """Decide whether a joint distribution reproduces all pair marginals."""
+def jpd_feasible(m: MarginalSet) -> JpdWitness:
+    """Decide whether a joint distribution reproduces all pair marginals.
+
+    The verdict is the closed-form facet rule: infeasible iff the closest
+    odd-parity facet is exceeded by more than FEASIBILITY_TOL, and then no
+    LP is built. A feasible set runs the simplex only to build its witness,
+    which is accepted once its own residual and weights re-verify.
+    """
     check_lp_cap(m.n)
+    facet, excess = _closest_facet(m)
+    if excess > FEASIBILITY_TOL:
+        return JpdWitness(False, None, excess, None, facet, excess)
     a, labels = _pair_constraint_matrix(m.n)
     b = np.empty(len(labels))
     b[0] = 1.0
     for r, (i, xi, xj) in enumerate(labels[1:], start=1):
         b[r] = m.cells[i, _IDX[xi], _IDX[xj]]
-    phase1, q = _phase1_simplex(a, b, pivot=pivot)
-    if phase1 > FEASIBILITY_TOL:
-        return JpdWitness(False, None, phase1, phase1)
+    phase1, q = _phase1_simplex(a, b)
     residual = float(np.max(np.abs(a @ q - b)))
     if residual > WITNESS_RESIDUAL_TOL:
         raise VerificationError(
@@ -226,7 +256,9 @@ def jpd_feasible(m: MarginalSet, *, pivot: str = "bland") -> JpdWitness:
     if np.any(q < -1e-9):
         raise VerificationError("witness has a negative weight beyond tolerance")
     distribution = {int(i): float(w) for i, w in enumerate(q) if abs(w) > 1e-15}
-    return JpdWitness(True, distribution, residual, phase1, near_boundary=phase1 > 1e-12)
+    return JpdWitness(
+        True, distribution, residual, phase1, facet, excess, near_boundary=excess > 1e-12
+    )
 
 
 def witness_correlators(witness: JpdWitness, n: int) -> tuple[float, ...]:
@@ -245,14 +277,16 @@ def witness_correlators(witness: JpdWitness, n: int) -> tuple[float, ...]:
 def witness_to_text(witness: JpdWitness, n: int) -> str:
     """Structured text export: nonzero assignment weights by bitmask."""
     lines = [
-        "# qcycle jpd witness v1",
+        "# qcycle jpd witness v2",
         "# bit b of the assignment index set means x_b = -1",
         f"n = {n}",
         f"feasible = {'true' if witness.feasible else 'false'}",
-        f"max_residual = {witness.max_constraint_residual!r}",
-        f"phase1_objective = {witness.phase1_objective!r}",
+        "facet_signs = " + " ".join(f"{g:+d}" for g in witness.facet_signs),
+        f"facet_excess = {witness.facet_excess!r}",
     ]
     if witness.distribution is not None:
+        lines.append(f"max_residual = {witness.max_constraint_residual!r}")
+        lines.append(f"phase1_objective = {witness.phase1_objective!r}")
         for i in sorted(witness.distribution):
             lines.append(f"w[{i}] = {witness.distribution[i]!r}")
     return "\n".join(lines) + "\n"

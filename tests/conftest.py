@@ -53,3 +53,31 @@ def random_marginal_set(rng, n: int) -> MarginalSet:
             for b, xj in enumerate((1, -1)):
                 cells[i, a, b] = (1.0 + xi * si + xj * sj + xi * xj * c) / 4.0
     return MarginalSet(n, cells)
+
+
+def near_facet_marginal_set(rng, n: int, excess: float, biased: bool) -> MarginalSet:
+    """Pair marginals that exceed a random odd-parity facet by ``excess``.
+
+    With g an odd-parity sign vector and slacks summing to 2 - excess, the
+    correlators c = g * (1 - slack) give sum(g_i c_i) = n - 2 + excess, and
+    that g is the maximising facet because every slack stays below 1. A
+    negative ``excess`` lies inside the facet. Biased singles stay within
+    0.4 of the neighbouring slacks, which keeps every cell nonnegative.
+    """
+    gamma = np.ones(n)
+    flips = 2 * int(rng.integers(0, (n + 1) // 2)) + 1
+    gamma[rng.choice(n, size=flips, replace=False)] = -1.0
+    while True:
+        slack = (2.0 - excess) * rng.dirichlet(np.full(n, 4.0))
+        if slack.max() < 1.0:
+            break
+    c = gamma * (1.0 - slack)
+    room = np.minimum(slack, np.roll(slack, 1))
+    singles = rng.uniform(-0.4, 0.4, size=n) * room if biased else np.zeros(n)
+    cells = np.empty((n, 2, 2))
+    for i in range(n):
+        si, sj = singles[i], singles[(i + 1) % n]
+        for a, xi in enumerate((1, -1)):
+            for b, xj in enumerate((1, -1)):
+                cells[i, a, b] = (1.0 + xi * si + xj * sj + xi * xj * c[i]) / 4.0
+    return MarginalSet(n, cells)

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -105,6 +106,8 @@ class TestFeasibility:
         )
         assert fields["feasible"] == "true"
         assert float(fields["max_residual"]) <= 1e-7
+        assert abs(float(fields["facet_excess"])) <= 1e-12
+        assert fields["near_boundary"] == "false"
         text = witness_path.read_text()
         weights = [float(l.split("=")[1]) for l in text.splitlines() if l.startswith("w[")]
         assert sum(weights) == pytest.approx(1.0, abs=1e-9)
@@ -127,9 +130,29 @@ class TestFeasibility:
             code, _ = run_cli(capsys, "feasibility", source)
             assert code == 3
 
-    def test_dantzig_pivot(self, capsys):
-        fields = structured(capsys, "feasibility", "kcbs-temporal", "--pivot", "dantzig")
-        assert fields["feasible"] == "false"
+    def test_pivot_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["feasibility", "kcbs-temporal", "--pivot", "bland"])
+        assert exc.value.code == 2
+
+    def test_infeasible_report_shows_facet(self, capsys):
+        fields = structured(capsys, "feasibility", "kcbs-temporal")
+        assert fields["facet_signs"] == "-1 -1 -1 -1 -1"
+        assert float(fields["facet_excess"]) == pytest.approx(5 * math.cos(math.pi / 5) - 3, abs=1e-12)
+        assert "phase1_objective" not in fields and "max_residual" not in fields
+
+    def test_chained_infeasible_up_to_the_cap(self, capsys):
+        # The verdict needs no LP: n = 12..16 end well inside the time a
+        # 2^n-column simplex takes (seconds at n = 15 and 16).
+        started = time.perf_counter()
+        for n in range(12, 17):
+            fields = structured(capsys, "feasibility", f"chained-{n}")
+            assert fields["feasible"] == "false"
+            signs = fields["facet_signs"].split()
+            assert len(signs) == n and signs.count("-1") % 2 == 1
+            excess = n * math.cos(math.pi / n) - (n - 2)
+            assert float(fields["facet_excess"]) == pytest.approx(excess, abs=1e-12)
+        assert time.perf_counter() - started < 0.5
 
     def test_file_without_data_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bare.txt"

@@ -1,12 +1,18 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from conftest import random_marginal_set
-from qcycle.errors import PreconditionError, ResourceLimitError
+from conftest import near_facet_marginal_set, random_marginal_set
+from facet_oracle import enumerated_facet_excess
+from qcycle import jpd
+from qcycle.errors import PreconditionError, ResourceLimitError, VerificationError
 from qcycle.jpd import (
+    FEASIBILITY_TOL,
     MarginalSet,
+    _pair_constraint_matrix,
+    _phase1_simplex,
     correlators_to_marginals,
     jpd_feasible,
     witness_correlators,
@@ -51,6 +57,20 @@ def boundary_mixture(n=5):
         assignments.append([-v for v in shifted])
     weights = [1.0 / len(assignments)] * len(assignments)
     return assignments, weights
+
+
+def lp_rows(m):
+    """The feasibility LP of m: constraint matrix and right-hand side."""
+    a, labels = _pair_constraint_matrix(m.n)
+    b = np.empty(len(labels))
+    b[0] = 1.0
+    for r, (i, xi, xj) in enumerate(labels[1:], start=1):
+        b[r] = m.cells[i, 0 if xi == 1 else 1, 0 if xj == 1 else 1]
+    return a, b
+
+
+def correlators_of(m):
+    return [m.correlator(i) for i in range(m.n)]
 
 
 def all_sign_patterns_hold(witness, n):
@@ -121,6 +141,14 @@ class TestMarginalSetValidation:
             MarginalSet(3, cells)
         assert "single-observable" in str(exc.value)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cell_rejected(self, bad):
+        cells = np.full((3, 2, 2), 0.25)
+        cells[1, 0, 1] = bad
+        with pytest.raises(PreconditionError) as exc:
+            MarginalSet(3, cells)
+        assert "finite" in str(exc.value)
+
 
 class TestJpdFeasible:
     def test_uniform_is_feasible(self):
@@ -189,36 +217,15 @@ class TestSoundnessAndAgreement:
                 assert all_sign_patterns_hold(witness, n)
         assert feasible_count > 10  # the generator must exercise both verdicts
 
-    def test_pivot_rules_agree(self):
-        rng = np.random.default_rng(13)
-        flagged = 0
-        for _ in range(500):
-            n = int(rng.integers(3, 7))
-            m = random_marginal_set(rng, n)
-            bland = jpd_feasible(m, pivot="bland")
-            dantzig = jpd_feasible(m, pivot="dantzig")
-            if bland.feasible != dantzig.feasible:
-                # Conservative resolution: only a hair's width from the
-                # threshold may separate the verdicts.
-                gap = abs(bland.phase1_objective - dantzig.phase1_objective)
-                assert gap <= 1e-7
-                flagged += 1
-        assert flagged == 0
-
     def test_scipy_oracle_agrees(self):
         linprog = pytest.importorskip("scipy.optimize").linprog
-        from qcycle.jpd import _pair_constraint_matrix
 
         rng = np.random.default_rng(17)
         for _ in range(60):
             n = int(rng.integers(3, 7))
             m = random_marginal_set(rng, n)
             ours = jpd_feasible(m)
-            a, labels = _pair_constraint_matrix(n)
-            b = np.empty(len(labels))
-            b[0] = 1.0
-            for r, (i, xi, xj) in enumerate(labels[1:], start=1):
-                b[r] = m.cells[i, 0 if xi == 1 else 1, 0 if xj == 1 else 1]
+            a, b = lp_rows(m)
             res = linprog(np.zeros(a.shape[1]), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
             assert ours.feasible == res.success
 
@@ -260,6 +267,105 @@ class TestSoundnessAndAgreement:
         assert infeasible > 10
 
 
+class TestClosedFormVerdict:
+    def test_closed_form_matches_lp_oracles(self):
+        # Sets at least 1e-6 from every facet, on both sides, n = 3..10,
+        # biased and unbiased: the verdict equals the in-repo simplex called
+        # directly on every set and, when importable, scipy's linprog.
+        try:
+            from scipy.optimize import linprog
+        except ImportError:
+            linprog = None
+        rng = np.random.default_rng(29)
+        verdicts = {True: 0, False: 0}
+        for n in range(3, 11):
+            cases = [random_marginal_set(rng, n) for _ in range(2)]
+            for k in range(8):
+                excess = (1 if k % 2 else -1) * 10.0 ** rng.uniform(-6, math.log10(0.5))
+                cases.append(near_facet_marginal_set(rng, n, excess, biased=k % 4 < 2))
+            for m in cases:
+                witness = jpd_feasible(m)
+                assert abs(witness.facet_excess) >= 1e-6 and m.cells.min() >= 1e-6
+                a, b = lp_rows(m)
+                phase1, _ = _phase1_simplex(a, b)
+                assert witness.feasible == (phase1 <= FEASIBILITY_TOL), (n, witness.facet_excess, phase1)
+                if linprog is not None:
+                    res = linprog(np.zeros(a.shape[1]), A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+                    assert witness.feasible == res.success
+                verdicts[witness.feasible] += 1
+        assert min(verdicts.values()) >= 30
+
+    def test_facet_matches_enumeration(self):
+        rng = np.random.default_rng(31)
+        for n in range(3, 11):
+            for _ in range(6):
+                m = random_marginal_set(rng, n)
+                witness = jpd_feasible(m)
+                c = np.array(correlators_of(m))
+                g = np.array(witness.facet_signs)
+                assert g.shape == (n,) and set(g) <= {1, -1}
+                assert np.count_nonzero(g < 0) % 2 == 1
+                assert witness.facet_excess == pytest.approx(enumerated_facet_excess(c), abs=1e-12)
+                assert float(g @ c) - (n - 2) == pytest.approx(witness.facet_excess, abs=1e-12)
+
+    def test_near_facet_fuzz(self):
+        # |excess| from 1e-14 to 1e-7 on both sides of a facet: the verdict is
+        # the closed form, every feasible set gets a witness that re-verifies,
+        # and no VerificationError is raised.
+        rng = np.random.default_rng(37)
+        counts = {"infeasible": 0, "near_boundary": 0, "feasible": 0, "phase1_above_tol": 0}
+        for n in range(3, 11):
+            for k in range(16):
+                excess = (1 if k % 2 else -1) * 10.0 ** rng.uniform(-14, -7)
+                m = near_facet_marginal_set(rng, n, excess, biased=k % 4 < 2)
+                oracle = enumerated_facet_excess(correlators_of(m))
+                try:
+                    witness = jpd_feasible(m)
+                except VerificationError as exc:
+                    pytest.fail(f"n={n} excess={oracle:.3e}: {exc}")
+                # Summation order alone moves the excess by a few ulps of n.
+                assert witness.facet_excess == pytest.approx(oracle, abs=1e-14)
+                excess = witness.facet_excess
+                assert witness.feasible == (excess <= FEASIBILITY_TOL)
+                if witness.feasible:
+                    assert witness.max_constraint_residual <= 1e-7
+                    assert witness.near_boundary == (excess > 1e-12)
+                    counts["near_boundary" if witness.near_boundary else "feasible"] += 1
+                    # A phase-1 optimum above FEASIBILITY_TOL on a feasible
+                    # set: a verdict read off the LP would say infeasible.
+                    counts["phase1_above_tol"] += witness.phase1_objective > FEASIBILITY_TOL
+                else:
+                    assert witness.distribution is None and witness.phase1_objective is None
+                    counts["infeasible"] += 1
+        assert min(counts["infeasible"], counts["near_boundary"], counts["feasible"]) >= 10, counts
+        assert counts["phase1_above_tol"] >= 1, counts
+
+    def test_temporal_kcbs_facet(self):
+        result = build("kcbs-temporal")
+        witness = jpd_feasible(correlators_to_marginals(result.correlations, result.singles))
+        assert witness.facet_signs == (-1,) * 5
+        assert witness.facet_excess == pytest.approx(5 * math.cos(math.pi / 5) - 3, abs=1e-12)
+        assert witness.max_constraint_residual == witness.facet_excess
+
+    def test_infeasible_builds_no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built the LP for an infeasible set")
+
+        monkeypatch.setattr(jpd, "_pair_constraint_matrix", refuse)
+        monkeypatch.setattr(jpd, "_phase1_simplex", refuse)
+        corr = CorrelationVector(canonical_scenario(11), (-1.0,) * 11)
+        witness = jpd_feasible(correlators_to_marginals(corr))
+        assert not witness.feasible
+        assert witness.facet_excess == pytest.approx(2.0)
+
+    def test_zero_correlators_facet(self):
+        # All c_i = 0: g = +1 has no -1s, so the first entry flips.
+        witness = jpd_feasible(uniform_marginals(4))
+        assert witness.facet_signs == (-1, 1, 1, 1)
+        assert witness.facet_excess == -2.0
+        assert witness.feasible and not witness.near_boundary
+
+
 class TestWitnessExport:
     def test_nonzero_entries_only(self):
         corr = CorrelationVector(canonical_scenario(5), (-0.6,) * 5)
@@ -278,4 +384,6 @@ class TestWitnessExport:
         witness = jpd_feasible(correlators_to_marginals(result.correlations, result.singles))
         text = witness_to_text(witness, 5)
         assert "feasible = false" in text
+        assert "facet_signs = -1 -1 -1 -1 -1" in text
+        assert "phase1_objective" not in text
         assert not [l for l in text.splitlines() if l.startswith("w[")]
