@@ -5,8 +5,8 @@ Subcommands: ``evaluate``, ``bound``, ``feasibility``, ``histories``,
 ``--seed`` and ``--out PATH``; relative output paths resolve against
 ``QCYCLE_OUT_DIR`` when that variable is set.
 
-Exit codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 internal
-verification failure.
+Exit codes: 0 success, 2 usage error (an output path that cannot be written
+included), 3 resource cap exceeded, 4 internal verification failure.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import os
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +50,20 @@ def _out_path(raw: str) -> Path:
     return path
 
 
+def _write(raw: str, text: str) -> Path:
+    """Write an output file; a path that cannot be written is a usage error."""
+    path = _out_path(raw)
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return path
+
+
 def _emit(report: RunReport, args) -> None:
     rendered = report.structured() if args.format == "structured" else report.text()
     if args.out:
-        _out_path(args.out).write_text(rendered)
+        _write(args.out, rendered)
     else:
         sys.stdout.write(rendered)
 
@@ -152,8 +163,7 @@ def cmd_feasibility(args) -> int:
         report.add("phase1_objective", witness.phase1_objective)
     report.add("near_boundary", witness.near_boundary)
     if args.witness:
-        path = _out_path(args.witness)
-        path.write_text(witness_to_text(witness, corr.scenario.n))
+        path = _write(args.witness, witness_to_text(witness, corr.scenario.n))
         report.add("witness_path", str(path))
     report.elapsed_s = time.perf_counter() - started
     _emit(report, args)
@@ -214,7 +224,7 @@ def cmd_scan(args) -> int:
         raise PreconditionError("scan needs --builder or --space")
     content = csv_lines(("parameter", "lhs_value", "classical_bound"), rows)
     if args.out:
-        _out_path(args.out).write_text(content)
+        _write(args.out, content)
         sys.stdout.write(f"wrote {len(rows)} rows in {time.perf_counter() - started:.3f}s\n")
     else:
         sys.stdout.write(content)
@@ -320,7 +330,7 @@ def cmd_selftest(args) -> int:
     lines.append(summary)
     sys.stdout.write(summary + "\n")
     if args.out:
-        _out_path(args.out).write_text("\n".join(lines) + "\n")
+        _write(args.out, "\n".join(lines) + "\n")
     return 0 if failures == 0 else VERIFICATION_ERROR
 
 
@@ -388,9 +398,16 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: a build costs over a millisecond, and parsing
+    # leaves the parser unchanged, so every main call can share it.
+    return make_parser()
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.argv = tuple(argv)
     try:
         return args.func(args)

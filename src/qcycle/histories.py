@@ -132,6 +132,8 @@ def family_from_bloch_angles(angles, state: State | None = None) -> HistoryFamil
     """Three xz-plane qubit measurements at the given Bloch angles."""
     if len(angles) != SLOTS:
         raise PreconditionError(f"need {SLOTS} angles")
+    if not all(math.isfinite(a) for a in angles):
+        raise PreconditionError(f"Bloch angles must be finite, got {tuple(angles)}")
     if state is None:
         state = maximally_mixed(2)
     obs = [

@@ -25,11 +25,11 @@ broadcasting from cached closed-form constants; the validated-object route
 
 The optimizer is a multi-start Nelder-Mead simplex run in lockstep: all
 starts, seeded uniformly over the box from one rng, move together as
-(starts, dim+1, dim) arrays, one evaluator call per step for every start
-that needs a point. Each start picks its own move by masks and freezes on
-its own convergence test, so it takes exactly the steps it would take alone.
-The best result wins, ties broken by lowest start index, so a seed pins the
-outcome exactly.
+(starts, dim+1, dim) arrays. One evaluator call per iteration scores the
+three trial points of every active start (3*S rows), one more the starts
+that shrink. Each start picks its move by masks and freezes on its own
+convergence test, so it takes exactly the steps it would take alone. The
+best result wins, ties going to the lowest start index: a seed pins it.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, su2_rotation
-from .quantum import spatial_kcbs_configuration, temporal_kcbs_protocol
+from .quantum import build, spatial_kcbs_configuration, temporal_kcbs_protocol
 from .scenario import CycleScenario, canonical_scenario, classical_bound, inequality_lhs
 
 SPACE_KINDS = ("temporal-times", "bloch-angles", "contextual-cone")
@@ -129,6 +129,14 @@ def _constants() -> _Constants:
     )
 
 
+@lru_cache(maxsize=None)
+def _next(n: int, k: int = 1) -> np.ndarray:
+    """Index i + k mod n of every column i: a cached gather in place of np.roll."""
+    index = np.roll(np.arange(n), -k)
+    index.flags.writeable = False
+    return index
+
+
 def _batch(params) -> np.ndarray:
     """(B, dim) float array; a 1-D point is a batch of one."""
     x = np.atleast_2d(np.asarray(params, dtype=float))
@@ -145,7 +153,7 @@ def temporal_times_evaluator(params) -> np.ndarray:
     """
     times = _batch(params)
     k = _constants()
-    gaps = np.roll(times, -1, axis=1) - times
+    gaps = times[:, _next(times.shape[1])] - times
     return k.temporal_offset + k.temporal_amplitude * np.cos(k.temporal_rate * gaps)
 
 
@@ -159,7 +167,7 @@ def bloch_angles_evaluator(params) -> np.ndarray:
     angles = _batch(params)
     t = _constants().phi_plus_xz
     s, c = np.sin(angles), np.cos(angles)
-    s_next, c_next = np.roll(s, -1, axis=1), np.roll(c, -1, axis=1)
+    s_next, c_next = s[:, _next(angles.shape[1])], c[:, _next(angles.shape[1])]
     return t[0, 0] * s * s_next + t[0, 1] * s * c_next + t[1, 0] * c * s_next + t[1, 1] * c * c_next
 
 
@@ -179,17 +187,21 @@ def contextual_cone_vectors(cone_half_angles) -> np.ndarray:
     vs[:, :4, 0] = s[:, None] * np.cos(azimuth)
     vs[:, :4, 1] = s[:, None] * np.sin(azimuth)
     vs[:, :4, 2] = c[:, None]
-    cross = np.cross(vs[:, 3], vs[:, 0])
-    norm = np.linalg.norm(cross, axis=1)
+    cross = _cross(vs[:, 3], vs[:, 0])
+    norm = np.sqrt(np.add.reduce(cross * cross, axis=1))
     degenerate = norm < 1e-12
     if degenerate.any():
         # v3 parallel to v0: any unit vector orthogonal to v0 closes the cycle.
-        v0 = vs[degenerate, 0]
-        seed = np.where(np.abs(v0[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-        cross[degenerate] = np.cross(v0, seed)
-        norm[degenerate] = np.linalg.norm(cross[degenerate], axis=1)
+        seed = np.where(np.abs(vs[degenerate, :1, 0]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
+        cross[degenerate] = _cross(vs[degenerate, 0], seed)
+        norm = np.sqrt(np.add.reduce(cross * cross, axis=1))
     vs[:, 4] = cross / norm[:, None]
     return vs
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (B, 3) arrays, each component's products in np.cross's order."""
+    return a[:, _next(3)] * b[:, _next(3, 2)] - a[:, _next(3, 2)] * b[:, _next(3)]
 
 
 def contextual_cone_evaluator(params) -> np.ndarray:
@@ -202,7 +214,7 @@ def contextual_cone_evaluator(params) -> np.ndarray:
     vs = contextual_cone_vectors(x[:, 0])
     state_angle = x[:, 1:2]
     weights = (vs[:, :, 0] * np.sin(state_angle) + vs[:, :, 2] * np.cos(state_angle)) ** 2
-    return 1.0 - 2.0 * weights - 2.0 * np.roll(weights, -1, axis=1)
+    return 1.0 - 2.0 * weights - 2.0 * weights[:, _next(5)]
 
 
 def default_space_and_evaluator(kind: str, n: int = 5) -> tuple[SearchSpace, Evaluator]:
@@ -226,11 +238,12 @@ def nelder_mead(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Minimize f from every row of x0 at once; returns (S, dim) points, (S,) values.
 
-    ``f`` maps a (B, dim) batch to B values. The S simplices move in
-    lockstep, each start choosing reflection, expansion, contraction or
-    shrink by its own masks, so every start takes exactly the steps of a
-    lone scalar run. A start freezes once its value spread is <= f_tol and
-    its simplex size <= x_tol, or after max_iter iterations.
+    ``f`` maps a (B, dim) batch to B values. The S simplices move in lockstep:
+    one call per iteration scores centroid + k * (centroid - worst) for k = 1,
+    2 and -0.5 (exactly 0.5 * (worst - centroid)) at every active start, one
+    more the starts that shrink. Each start picks its move by its own masks, so
+    it takes exactly the steps of a lone scalar run. A start freezes once its
+    value spread is <= f_tol and its size <= x_tol, or after max_iter iterations.
     """
     x0 = _batch(x0)
     starts, dim = x0.shape
@@ -238,53 +251,44 @@ def nelder_mead(
     points[:, 1:, :] += np.diag(initial_step)
     values = f(points.reshape(-1, dim)).reshape(starts, dim + 1)
     out_points, out_values = np.empty((starts, dim)), np.empty(starts)
-    ids = np.arange(starts)
-    rows = np.arange(starts)[:, None]
+    ids = rows = np.arange(starts)
+    moves = np.array([1.0, 2.0, -0.5])[:, None]  # reflect, expand, contract
 
     def freeze(mask):
         best = np.argmin(values[mask], axis=1)
-        out_points[ids[mask]] = points[mask, best]
-        out_values[ids[mask]] = values[mask, best]
+        out_points[ids[mask]], out_values[ids[mask]] = points[mask, best], values[mask, best]
 
     for _ in range(max_iter):
         order = np.argsort(values, axis=1, kind="stable")
-        points, values = points[rows, order], values[rows, order]
-        spread = values[:, -1] - values[:, 0]
-        size = np.max(np.abs(points[:, 1:] - points[:, :1]), axis=(1, 2))
-        done = (spread <= f_tol) & (size <= x_tol)
+        points, values = points[rows[:, None], order], values[rows[:, None], order]
+        done = values[:, -1] - values[:, 0] <= f_tol
         if done.any():
-            freeze(done)
-            keep = ~done
-            ids, points, values = ids[keep], points[keep], values[keep]
-            rows = rows[: ids.size]
-            if not ids.size:
-                break
-        centroid = points[:, :-1].mean(axis=1)
-        worst = points[:, -1]
-        reflected = centroid + (centroid - worst)
-        fr = f(reflected)
+            done[done] = np.max(np.abs(points[done, 1:] - points[done, :1]), axis=(1, 2)) <= x_tol
+            if done.any():
+                freeze(done)
+                keep = ~done
+                ids, points, values = ids[keep], points[keep], values[keep]
+                rows = rows[: ids.size]
+                if not ids.size:
+                    break
+        centroid = np.add.reduce(points[:, :-1], axis=1) / dim
+        trials = centroid[:, None] + moves * (centroid - points[:, -1])[:, None]
+        ft = f(trials.reshape(-1, dim)).reshape(-1, 3)
+        fr, fe, fc = ft.T
         expand = fr < values[:, 0]
         contract = ~expand & ~(fr < values[:, -2])
-        trial = expand | contract
-        tried, ft = reflected.copy(), np.full(ids.size, np.nan)
-        if trial.any():
-            # Expansion or contraction point of each start that needs one;
-            # -0.5 * (centroid - worst) is exactly 0.5 * (worst - centroid).
-            toward = np.where(expand[trial], 2.0, -0.5)[:, None]
-            tried[trial] = centroid[trial] + toward * (centroid[trial] - worst[trial])
-            ft[trial] = f(tried[trial])
-        use_trial = (expand & (ft < fr)) | (contract & (ft < values[:, -1]))
-        shrink = contract & ~use_trial
-        move = ~shrink
-        points[move, -1] = np.where(use_trial[:, None], tried, reflected)[move]
-        values[move, -1] = np.where(use_trial, ft, fr)[move]
+        choice = np.where(expand & (fe < fr), 1, 2 * contract)
+        shrink = contract & ~(fc < values[:, -1])
+        worst, f_worst = trials[rows, choice], ft[rows, choice]
         if shrink.any():
             best = points[shrink, :1]
             shrunk = best + 0.5 * (points[shrink, 1:] - best)
             points[shrink, 1:] = shrunk
             values[shrink, 1:] = f(shrunk.reshape(-1, dim)).reshape(-1, dim)
-    if ids.size:
-        freeze(np.ones(ids.size, bool))
+            # A shrinking start keeps its shrunk worst vertex, not the contraction.
+            worst[shrink], f_worst[shrink] = points[shrink, -1], values[shrink, -1]
+        points[:, -1], values[:, -1] = worst, f_worst
+    freeze(np.ones(ids.size, bool))
     return out_points, out_values
 
 
@@ -299,10 +303,9 @@ def lhs_objective(scenario: CycleScenario, evaluator: Evaluator) -> Callable[[np
                 f"evaluator returned correlators of shape {correlators.shape}, "
                 f"expected (B, {scenario.n})"
             )
-        # A row-wise product-sum rather than a BLAS matrix-vector product,
-        # whose rounding depends on the batch size: each start's score, and
-        # so its whole run, must not depend on which starts share its batch.
-        return (correlators * signs).sum(axis=1)
+        # Row-wise product-sums, not a BLAS product whose rounding depends on
+        # the batch size: a start's run must not depend on who shares its call.
+        return np.add.reduce(correlators * signs, axis=1)
 
     return objective
 
@@ -325,8 +328,7 @@ def minimize_lhs(
         raise PreconditionError("need at least one start")
     objective = lhs_objective(scenario, evaluator)
     rng = np.random.default_rng(seed)
-    lows = np.array([lo for lo, _ in space.bounds])
-    highs = np.array([hi for _, hi in space.bounds])
+    lows, highs = np.array(space.bounds).T
     x0 = rng.uniform(lows, highs, size=(starts, space.dimension))
     f0 = objective(x0)
     x, fx = nelder_mead(objective, x0, 0.1 * (highs - lows))
@@ -338,8 +340,6 @@ def minimize_lhs(
 
 def scan_chained(n_min: int, n_max: int):
     """Rows (n, quantum value, classical bound) for the chained family."""
-    from .quantum import build
-
     rows = []
     for n in range(n_min, n_max + 1):
         result = build(f"chained-{n}")

@@ -188,6 +188,31 @@ class TestMalformedInput:
         code, _ = run_cli(capsys, *argv, str(tmp_path / "missing.txt"))
         assert code == 2
 
+    @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
+    def test_non_finite_angle_is_usage_error(self, capsys, angle):
+        # argparse itself rejects "-inf", which looks like an option, with
+        # its own exit 2; "inf" and "nan" reach the histories precondition.
+        try:
+            code = main(["histories", "--angles", angle, "0", "0"])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "error:" in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [(("evaluate", "kcbs-temporal"), "--out"), (("feasibility", "kcbs-spatial"), "--witness")],
+    )
+    def test_unwritable_output_path_is_usage_error(self, capsys, tmp_path, argv, option):
+        target = tmp_path / "no" / "such" / "dir" / "x.txt"
+        code = main([*argv, option, str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: cannot write") and str(target) in captured.err
+        assert not target.parent.exists()
+
 
 class TestHistories:
     def test_default_lg_configuration(self, capsys):
@@ -264,6 +289,21 @@ class TestReportDeterminism:
 
         assert body(first) == body(second)
         assert body(first) != ""
+
+    def test_consecutive_calls_share_no_state(self, capsys, tmp_path):
+        # The parser is built once per process; options of one call must not
+        # carry over into the next.
+        target = tmp_path / "report.txt"
+        code, out = run_cli(capsys, "evaluate", "kcbs-temporal", "--out", str(target))
+        assert code == 0 and out == "" and target.exists()
+        target.unlink()
+        code, out = run_cli(capsys, "evaluate", "kcbs-temporal")
+        assert code == 0 and "lhs" in out
+        assert not target.exists()
+        custom = structured(capsys, "histories", "--angles", "0.1", "0.2", "0.3")
+        default = structured(capsys, "histories")
+        assert custom["bloch_angles"].split()[0] == "0.1"
+        assert float(default["bloch_angles"].split()[0]) == 0.0
 
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("QCYCLE_OUT_DIR", str(tmp_path))

@@ -287,6 +287,11 @@ class TestFamilyBuilders:
         for slot in range(3):
             assert max_abs(fam.observable(slot).matrix - ref.observable(slot).matrix) < 1e-12
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(PreconditionError):
+            family_from_bloch_angles((0.0, bad, 1.0))
+
     def test_from_protocol_requires_three_times(self):
         with pytest.raises(PreconditionError):
             family_from_protocol(temporal_kcbs_protocol())

@@ -166,8 +166,111 @@ class TestNelderMead:
             assert np.array_equal(ref_x, x[k])
             assert ref_value == value[k]
 
+    @pytest.mark.parametrize("max_iter", [7, 600])
+    def test_nan_objective_follows_the_scalar_decisions(self, max_iter):
+        # NaN compares false everywhere: a NaN trial point is never taken
+        # and a start whose whole simplex is NaN shrinks until max_iter.
+        objective, lows, highs = scored("contextual-cone")
+
+        def holed(batch):
+            values = objective(batch)
+            values[batch[:, 1] > 2.0] = np.nan
+            return values
+
+        x0 = np.random.default_rng(8).uniform(lows, highs, size=(12, 2))
+        x0[0] = (1.0, 2.5)  # every vertex of this simplex scores NaN
+        steps = 0.1 * (highs - lows)
+        x, value = nelder_mead(holed, x0, steps, max_iter=max_iter)
+        assert np.isnan(value).sum() >= 1 and not np.isnan(value).all()
+        for k in range(12):
+            ref_x, ref_value = search_oracles.nelder_mead(
+                lambda p: float(holed(p[None, :])[0]), x0[k], steps, max_iter=max_iter
+            )
+            assert np.array_equal(ref_x, x[k], equal_nan=True)
+            assert np.array_equal(ref_value, value[k], equal_nan=True)
+
+    def test_one_call_per_iteration_plus_one_per_shrink(self):
+        # Two parameters and four starts that cannot converge in 30
+        # iterations: each iteration scores 3 trial points for every start
+        # (12 rows), and an iteration in which some start shrinks adds one
+        # call of at most 2 * 4 = 8 rows.
+        objective, lows, highs = scored("contextual-cone")
+        rows = []
+
+        def counted(batch):
+            rows.append(len(batch))
+            return objective(batch)
+
+        x0 = np.random.default_rng(9).uniform(lows, highs, size=(4, 2))
+        nelder_mead(counted, x0, 0.1 * (highs - lows), max_iter=30)
+        assert rows[0] == 4 * 3
+        steps = rows[1:]
+        trials = [k for k, r in enumerate(steps) if r == 12]
+        shrinks = [k for k, r in enumerate(steps) if r != 12]
+        assert len(trials) == 30
+        assert shrinks and all(steps[k] % 2 == 0 and steps[k] <= 8 for k in shrinks)
+        # A shrink call always follows the trial call of its own iteration.
+        assert steps[0] == 12 and all(steps[k - 1] == 12 for k in shrinks)
+
+
+# Exact results of minimize_lhs(..., starts=64), (space, seed) -> (x as
+# float.hex, value as float.hex). Any change to how the optimizer batches
+# its evaluations must leave every start's trajectory, and so these, exact.
+GOLDEN_OPTIMA = {
+    ("temporal-times", 0): (
+        ("0x1.408bd94196fc2p-1", "0x1.8117b2b37e35ap-2", "0x1.808bd95c6ce3ep-1",
+         "0x1.008bd8f88e77ap-1", "0x1.0117b28a273bcp-2"),
+        "-0x1.02e2ac13ef8dfp+2",
+    ),
+    ("temporal-times", 1): (
+        ("0x1.cdf46defbec99p-3", "-0x1.320b9181fd59ep-3", "0x1.9be8deaafddf2p-4",
+         "0x1.66fa375f5ae4ep-2", "0x1.337d1bb234f93p-1"),
+        "-0x1.02e2ac13ef8e4p+2",
+    ),
+    ("temporal-times", 2): (
+        ("-0x1.61d799d42ab00p-5", "0x1.a9e2861204a31p-1", "0x1.14f1431749384p+0",
+         "0x1.4f1432ec19bfap-4", "0x1.53c50c88690cap-2"),
+        "-0x1.02e2ac13ef8e2p+2",
+    ),
+    ("bloch-angles", 0): (
+        ("0x1.adfdf2faebc7fp-1", "0x1.ad32743368fc2p+1", "0x1.7772b5cf0aec8p+2",
+         "0x1.0c58f893f63acp+1", "-0x1.ac66f4fb6516dp+0"),
+        "-0x1.02e2ac13ef8e8p+2",
+    ),
+    ("bloch-angles", 1): (
+        ("0x1.df14fa5707471p+1", "0x1.9063f8faec3ffp+2", "0x1.3e3b7edd3df36p+1",
+         "0x1.3ff73b178e78cp+2", "0x1.3ac405b8d3cd4p+0"),
+        "-0x1.02e2ac13ef8e8p+2",
+    ),
+    ("bloch-angles", 2): (
+        ("0x1.677b46c5bc9dep+2", "0x1.d8d434a4f4859p+0", "0x1.170e88e1daf24p+2",
+         "0x1.2e4279e67ab3ep-1", "0x1.8d4395fceb18ap+1"),
+        "-0x1.02e2ac13ef8e8p+2",
+    ),
+    ("contextual-cone", 0): (
+        ("0x1.ad3371eac4d56p-1", "0x1.921fb4f944f5ap+1"),
+        "-0x1.f8dde6e5fd29ap+1",
+    ),
+    ("contextual-cone", 1): (
+        ("0x1.ad3371db271bep-1", "0x1.921fb51007b6ap+1"),
+        "-0x1.f8dde6e5fd29cp+1",
+    ),
+    ("contextual-cone", 2): (
+        ("0x1.ad3371f17b646p-1", "-0x1.8c13f74e34cdcp-26"),
+        "-0x1.f8dde6e5fd2a0p+1",
+    ),
+}
+
 
 class TestMinimizeLhs:
+    @pytest.mark.parametrize("kind, seed", sorted(GOLDEN_OPTIMA))
+    def test_golden_trajectory(self, kind, seed):
+        space, evaluator = default_space_and_evaluator(kind)
+        x, value = minimize_lhs(space, canonical_scenario(5), evaluator, seed=seed, starts=64)
+        golden_x, golden_value = GOLDEN_OPTIMA[kind, seed]
+        assert [float(t).hex() for t in x] == list(golden_x)
+        assert value.hex() == golden_value
+
     def test_monotone_improvement(self):
         # The result never exceeds any seeded start evaluation.
         space, evaluator = default_space_and_evaluator("contextual-cone")
