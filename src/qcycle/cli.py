@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 import time
 from functools import lru_cache
@@ -25,7 +26,7 @@ from . import __version__
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .histories import family_from_bloch_angles, lg_decomposition
 from .jpd import check_lp_cap, correlators_to_marginals, jpd_feasible, witness_to_text
-from .quantum import build, builder_cycle_length
+from .quantum import BUILDER_NAMES, build, builder_cycle_length
 from .report import RunReport, csv_lines, violated
 from .scenario import (
     CorrelationVector,
@@ -125,9 +126,20 @@ def cmd_bound(args) -> int:
 
 
 def _marginals_for(args):
-    """MarginalSet plus provenance fields from a builder name or file."""
+    """MarginalSet plus provenance fields from a builder name or file.
+
+    An input that ``builder_cycle_length`` accepts is a builder name; any
+    other input is a scenario file path.
+    """
     builder = args.input
-    if args.input.endswith(".txt") or "/" in args.input or args.input == "-":
+    try:
+        n = builder_cycle_length(builder)
+    except PreconditionError:
+        if not Path(args.input).is_file():
+            raise PreconditionError(
+                f"{args.input!r} is neither a builder ({', '.join(BUILDER_NAMES)}) "
+                "nor a scenario file"
+            ) from None
         doc = load_scenario(args.input)
         if doc.correlators is not None:
             corr = CorrelationVector(doc.scenario, doc.correlators)
@@ -135,7 +147,8 @@ def _marginals_for(args):
         if doc.builder is None:
             raise PreconditionError("scenario file needs correlators or a builder")
         builder = doc.builder
-    check_lp_cap(builder_cycle_length(builder))
+        n = builder_cycle_length(builder)
+    check_lp_cap(n)
     result = build(builder)
     return correlators_to_marginals(result.correlations, result.singles), result.correlations, result.name
 
@@ -256,15 +269,11 @@ def cmd_selftest(args) -> int:
     from . import quantum as qm
     from .scenario import inequality_lhs
 
-    # Rotation convention and eigen solver.
+    # Rotation convention.
     theta = 0.37
     r = la.su2_rotation((0.0, 1.0, 0.0), theta)
     target = math.cos(2 * theta) * la.SIGMA_Z + math.sin(2 * theta) * la.SIGMA_X
     check("rotation convention", la.max_abs(la.dag(r) @ la.SIGMA_Z @ r - target) < 1e-12)
-    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = (h + h.conj().T) / 2
-    w, v = la.herm_eigen(h)
-    check("jacobi reconstruction", la.max_abs(h - v @ np.diag(w) @ v.conj().T) < 1e-10)
 
     # Builder optima against closed forms.
     for name, target_value in (
@@ -378,6 +387,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_hist = sub.add_parser("histories", help="interference decomposition of a three-measurement family")
     p_hist.add_argument("--angles", type=float, nargs=3, help="three xz-plane Bloch angles")
+    # argparse's own pattern takes only -1 and -.5 as negative numbers, so
+    # -1e-1 and -inf would read as unknown options; every negative float
+    # starts with -digit, -.digit, -inf or -nan.
+    p_hist._negative_number_matcher = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     common(p_hist)
     p_hist.set_defaults(func=cmd_histories)
 

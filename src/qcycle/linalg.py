@@ -15,7 +15,6 @@ Every builder in the package uses this one convention.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,57 +105,6 @@ def su2_rotation(axis, angle: float) -> np.ndarray:
     return math.cos(angle) * I2 + 1j * math.sin(angle) * ns
 
 
-def herm_eigen(m, tol: float = OBSERVABLE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Reconstruction
-    error ||m - V diag(w) V^dag||_max stays below 1e-10 at the dimensions in
-    scope. Jacobi is chosen over QR for its unconditional convergence on
-    Hermitian input; all matrices here are tiny.
-    """
-    m = as_matrix(m)
-    if not is_hermitian(m, tol):
-        raise PreconditionError("herm_eigen requires a Hermitian matrix")
-    n = m.shape[0]
-    a = (m + m.conj().T) / 2.0
-    v = np.eye(n, dtype=complex)
-    threshold = 1e-14 * max(1.0, max_abs(a))
-    for _ in range(60):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                r = abs(apq)
-                off = max(off, r)
-                if r <= threshold:
-                    continue
-                phase = apq / r
-                app, aqq = a[p, p].real, a[q, q].real
-                zeta = (app - aqq) / (2.0 * r)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(zeta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                # Unitary J with J[p,p]=J[q,q]=c, J[p,q]=-s*phase, J[q,p]=s*conj(phase)
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p + s * np.conj(phase) * col_q
-                a[:, q] = -s * phase * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p + s * phase * row_q
-                a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp + s * np.conj(phase) * vq
-                v[:, q] = -s * phase * vp + c * vq
-        if off <= threshold:
-            break
-    else:
-        raise VerificationError("Jacobi diagonalization did not converge in 60 sweeps")
-    w = a.diagonal().real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.setflags(write=False)
     return a
@@ -233,9 +181,9 @@ class State:
         t = trace(m)
         if abs(t - 1.0) > HERMITIAN_TOL:
             raise PreconditionError(f"state has trace {t!r}, expected 1")
-        w, _ = herm_eigen(m)
-        if w[0] < -PSD_TOL:
-            raise PreconditionError(f"state has negative eigenvalue {w[0]:.3e}")
+        lowest = np.linalg.eigvalsh(m)[0]
+        if lowest < -PSD_TOL:
+            raise PreconditionError(f"state has negative eigenvalue {lowest:.3e}")
 
     @property
     def dim(self) -> int:
@@ -259,30 +207,3 @@ def maximally_mixed(dim: int) -> State:
 def bell_phi_plus() -> State:
     """(|00> + |11>)/sqrt(2) as a density matrix."""
     return pure_state([1.0, 0.0, 0.0, 1.0])
-
-
-# Debug dump: one row per line, entries as re+im*i with 17 significant digits,
-# exact binary64 round-trip.
-
-_ENTRY_RE = re.compile(r"^([+-]?\d\.\d{16}e[+-]\d{2,3})([+-]\d\.\d{16}e[+-]\d{2,3})i$")
-
-
-def format_matrix(m) -> str:
-    m = as_matrix(m)
-    rows = []
-    for row in m:
-        rows.append(" ".join(f"{z.real:.16e}{z.imag:+.16e}i" for z in row))
-    return "\n".join(rows) + "\n"
-
-
-def parse_matrix(text: str) -> np.ndarray:
-    rows = []
-    for line in text.strip().splitlines():
-        entries = []
-        for tok in line.split():
-            mobj = _ENTRY_RE.match(tok)
-            if mobj is None:
-                raise PreconditionError(f"cannot parse matrix entry {tok!r}")
-            entries.append(complex(float(mobj.group(1)), float(mobj.group(2))))
-        rows.append(entries)
-    return as_matrix(np.array(rows, dtype=complex))

@@ -8,9 +8,7 @@ Three routes produce adjacent-pair correlators:
   commutes;
 * bipartite product observables, Tr(rho (A x B)).
 
-Temporal correlators are evaluated in the Heisenberg picture; an explicit
-Schrödinger-picture evolve-measure-collapse simulation of the same protocol
-is kept as an independent cross-check path.
+Temporal correlators are evaluated in the Heisenberg picture.
 
 Builders construct the maximally violating configurations for the five-cycle
 in each setting (``kcbs-contextual``, ``kcbs-temporal``, ``kcbs-spatial``)
@@ -128,21 +126,6 @@ def correlation_sequential(
     return value, SequentialOutcomeTable(p_first, cond)
 
 
-def repeat_agreement_probability(rho: State, x: Observable, y: Observable) -> float:
-    """Probability that measuring X, then Y, then X again repeats the X outcome.
-
-    Equals 1 for commuting pairs, which is the operational non-invasiveness
-    behind joint measurability.
-    """
-    agree = 0.0
-    for k in (1, -1):
-        pk = x.projector(k)
-        for l in (1, -1):
-            chain = pk @ y.projector(l) @ pk
-            agree += real_trace(chain @ rho.matrix @ dag(chain))
-    return agree
-
-
 def correlation_spatial(cfg: BipartiteConfig, i: int, j: int) -> float:
     """Tr(rho (A_i x B_j)) for a bipartite configuration."""
     if not (0 <= i < len(cfg.alice) and 0 <= j < len(cfg.bob)):
@@ -164,39 +147,6 @@ def temporal_correlations(protocol: TemporalProtocol) -> CorrelationVector:
         anticommutator_correlation(protocol.initial_state, obs[i], obs[(i + 1) % n])
         for i in range(n)
     ]
-    return CorrelationVector(canonical_scenario(n), tuple(values))
-
-
-def temporal_correlations_schrodinger(protocol: TemporalProtocol) -> CorrelationVector:
-    """Same correlators by explicit evolve-measure-collapse simulation.
-
-    Independent of the Heisenberg path: evolves the state to the first time,
-    applies the Lüders update for the fixed measured observable, evolves on to
-    the second time and measures again.
-    """
-    rho0 = protocol.initial_state.matrix
-    n = protocol.n
-
-    def pair_correlator(ta: float, tb: float) -> float:
-        ua = su2_rotation(protocol.axis, protocol.angular_rate * ta)
-        w = su2_rotation(protocol.axis, protocol.angular_rate * tb) @ dag(ua)
-        rho_a = ua @ rho0 @ dag(ua)
-        value = 0.0
-        for k in (1, -1):
-            pk_proj = protocol.measured.projector(k)
-            pk = real_trace(pk_proj @ rho_a)
-            if pk <= DEAD_BRANCH:
-                continue
-            post = w @ (pk_proj @ rho_a @ pk_proj) @ dag(w)
-            for l in (1, -1):
-                value += k * l * real_trace(protocol.measured.projector(l) @ post)
-        return value
-
-    times = protocol.times
-    values = []
-    for i in range(n):
-        a, b = times[i], times[(i + 1) % n]
-        values.append(pair_correlator(min(a, b), max(a, b)))
     return CorrelationVector(canonical_scenario(n), tuple(values))
 
 

@@ -73,10 +73,10 @@ def inequality_lhs(c: CorrelationVector) -> float:
     return float(np.dot(c.scenario.signs, c.values))
 
 
-def check_enumeration_cap(n: int, max_n: int = ENUMERATION_CAP) -> None:
-    """Raise ResourceLimitError when n exceeds the documented bound cap ``max_n``."""
-    if n > max_n:
-        raise ResourceLimitError(f"enumeration capped at n <= {max_n}, got {n}")
+def check_enumeration_cap(n: int) -> None:
+    """Raise ResourceLimitError when n exceeds the documented bound cap ``ENUMERATION_CAP``."""
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(f"enumeration capped at n <= {ENUMERATION_CAP}, got {n}")
 
 
 def classical_bound(scenario: CycleScenario) -> int:

@@ -321,8 +321,9 @@ def minimize_lhs(
     """Multi-start simplex search for the minimal inequality value.
 
     All starts are drawn uniformly over the box from ``seed`` and run in
-    lockstep; the result never exceeds the best seed evaluation, ties go to
-    the lowest start index, and a seed fixes the result exactly.
+    lockstep; the result never exceeds the best seed evaluation (each seed is
+    a vertex of its simplex, and Nelder-Mead never drops a best vertex), ties
+    go to the lowest start index, and a seed fixes the result exactly.
     """
     if starts < 1:
         raise PreconditionError("need at least one start")
@@ -330,10 +331,7 @@ def minimize_lhs(
     rng = np.random.default_rng(seed)
     lows, highs = np.array(space.bounds).T
     x0 = rng.uniform(lows, highs, size=(starts, space.dimension))
-    f0 = objective(x0)
     x, fx = nelder_mead(objective, x0, 0.1 * (highs - lows))
-    fallback = f0 < fx
-    x[fallback], fx[fallback] = x0[fallback], f0[fallback]
     best = int(np.argmin(fx))
     return x[best], float(fx[best])
 

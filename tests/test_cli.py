@@ -154,6 +154,30 @@ class TestFeasibility:
             assert float(fields["facet_excess"]) == pytest.approx(excess, abs=1e-12)
         assert time.perf_counter() - started < 0.5
 
+    def test_suffixless_scenario_file(self, capsys, tmp_path, monkeypatch):
+        # Any input that is not a builder name is a scenario path, with or
+        # without a suffix or a directory part.
+        monkeypatch.chdir(tmp_path)
+        save_scenario(ScenarioFile(canonical_scenario(5), correlators=(-0.6,) * 5), "scen")
+        fields = structured(capsys, "feasibility", "scen")
+        assert fields["input"] == "file:scen"
+        assert fields["feasible"] == "true"
+
+    def test_builder_name_wins_over_a_file_of_that_name(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        save_scenario(ScenarioFile(canonical_scenario(5), correlators=(-0.6,) * 5), "kcbs-temporal")
+        fields = structured(capsys, "feasibility", "kcbs-temporal")
+        assert fields["input"] == "kcbs-temporal"
+        assert fields["feasible"] == "false"
+
+    def test_unknown_name_names_both_readings(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main(["feasibility", "kcbs-nonesuch"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: 'kcbs-nonesuch' is neither a builder")
+        assert "chained-N" in err and "nor a scenario file" in err
+
     def test_file_without_data_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bare.txt"
         save_scenario(ScenarioFile(canonical_scenario(5)), path)
@@ -190,15 +214,15 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("angle", ["inf", "-inf", "nan"])
     def test_non_finite_angle_is_usage_error(self, capsys, angle):
-        # argparse itself rejects "-inf", which looks like an option, with
-        # its own exit 2; "inf" and "nan" reach the histories precondition.
         try:
             code = main(["histories", "--angles", angle, "0", "0"])
         except SystemExit as exc:
             code = exc.code
         captured = capsys.readouterr()
         assert code == 2
-        assert "error:" in captured.err and "Traceback" not in captured.err
+        # "-inf" too is read as a value, not as an unknown option.
+        assert captured.err.startswith("error: Bloch angles must be finite")
+        assert "Traceback" not in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -225,6 +249,15 @@ class TestHistories:
         pairs = [k for k in fields if k.startswith("pair_")]
         assert len(pairs) == 8
         assert any("inconsistent" in fields[k] for k in pairs)
+
+    @pytest.mark.parametrize("written", ["-1e-1", "-1E-1", "-.1e0"])
+    def test_negative_angle_with_exponent(self, capsys, written):
+        def body(*angles):
+            code, out = run_cli(capsys, "histories", "--angles", *angles, "--format", "structured")
+            assert code == 0
+            return [line for line in out.splitlines() if not line.startswith("#")]
+
+        assert body(written, "0", "-2.5e0") == body("-0.1", "0", "-2.5")
 
     def test_custom_angles_consistent_case(self, capsys):
         fields = structured(capsys, "histories", "--angles", "0.5", "0.5", "0.5")

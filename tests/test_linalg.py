@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_qubit_observable, random_state, random_unit3
+from matrix_dump import format_matrix, parse_matrix
 from qcycle.errors import PreconditionError
 from qcycle.linalg import (
     I2,
+    PSD_TOL,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -20,14 +22,11 @@ from qcycle.linalg import (
     bloch_observable,
     commutator_norm,
     dag,
-    format_matrix,
-    herm_eigen,
     identity,
     kron,
     max_abs,
     maximally_mixed,
     observable_from_matrix,
-    parse_matrix,
     pure_state,
     real_trace,
     su2_rotation,
@@ -112,43 +111,31 @@ class TestBlochObservable:
 
 
 class TestHermEigen:
-    def test_sigma_z(self):
-        w, _ = herm_eigen(SIGMA_Z)
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
-
-    def test_identity4(self):
-        w, _ = herm_eigen(identity(4))
-        assert np.allclose(w, np.ones(4), atol=1e-12)
-
-    def test_sigma_x_eigenvectors(self):
-        w, v = herm_eigen(SIGMA_X)
-        assert np.allclose(w, [-1.0, 1.0], atol=1e-12)
-        minus = np.array([1, -1]) / math.sqrt(2)
-        plus = np.array([1, 1]) / math.sqrt(2)
-        assert abs(np.vdot(v[:, 0], minus)) == pytest.approx(1.0, abs=1e-12)
-        assert abs(np.vdot(v[:, 1], plus)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(PreconditionError):
-            herm_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @given(seed=st.integers(0, 10_000), dim=st.integers(2, 9))
-    @settings(max_examples=60, deadline=None)
-    def test_reconstruction(self, seed, dim):
-        rng = np.random.default_rng(seed)
-        g = random_complex(rng, dim)
-        h = (g + g.conj().T) / 2
-        w, v = herm_eigen(h)
-        assert max_abs(h - v @ np.diag(w) @ v.conj().T) < 1e-10
-        assert max_abs(v @ dag(v) - identity(dim)) < 1e-10
-        assert list(w) == sorted(w)
+    """Hermitian spectra through numpy.linalg.eigvalsh, the route of State's PSD check."""
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_observable_spectrum_is_pm1(self, seed):
         rng = np.random.default_rng(seed)
-        w, _ = herm_eigen(random_qubit_observable(rng).matrix)
+        w = np.linalg.eigvalsh(random_qubit_observable(rng).matrix)
         assert np.allclose(np.abs(w), 1.0, atol=1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("lowest, accepted", [(-2.0 * PSD_TOL, False), (-0.5 * PSD_TOL, True)])
+    def test_psd_tolerance_edge(self, dim, lowest, accepted):
+        # A rotated diagonal with one eigenvalue just past or just inside
+        # -PSD_TOL, the rest sharing the remaining trace.
+        rng = np.random.default_rng(dim)
+        u, _ = np.linalg.qr(random_complex(rng, dim))
+        spectrum = np.full(dim, (1.0 - lowest) / (dim - 1))
+        spectrum[0] = lowest
+        rho = u @ np.diag(spectrum) @ u.conj().T
+        rho = (rho + rho.conj().T) / 2
+        if accepted:
+            assert State(rho).dim == dim
+        else:
+            with pytest.raises(PreconditionError, match="negative eigenvalue"):
+                State(rho)
 
 
 class TestPlumbing:
@@ -195,6 +182,8 @@ class TestObservableAndState:
             State(np.diag([0.75, 0.75]))  # trace 1.5
         with pytest.raises(PreconditionError):
             State(np.diag([1.5, -0.5]))  # negative eigenvalue
+        with pytest.raises(PreconditionError, match="not Hermitian"):
+            State(np.array([[0.5, 0.5], [0.0, 0.5]]))
 
     def test_maximally_mixed(self):
         assert max_abs(maximally_mixed(3).matrix - identity(3) / 3) == 0.0
@@ -203,11 +192,11 @@ class TestObservableAndState:
         rho = pure_state([2.0, 0.0]).matrix
         assert max_abs(rho - np.diag([1.0, 0.0])) == 0.0
 
-    @given(seed=st.integers(0, 10_000))
+    @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
-    def test_random_states_accepted(self, seed):
+    def test_random_states_accepted(self, seed, dim):
         rng = np.random.default_rng(seed)
-        state = random_state(rng)
+        state = random_state(rng, dim)
         assert real_trace(state.matrix) == pytest.approx(1.0, abs=1e-12)
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_qubit_observable, random_state, random_unit3
+from quantum_oracles import repeat_agreement_probability, temporal_correlations_schrodinger
 from qcycle.errors import PreconditionError
 from qcycle.linalg import (
     SIGMA_X,
@@ -30,11 +31,9 @@ from qcycle.quantum import (
     correlation_spatial,
     heisenberg_observable,
     perfect_pair_values,
-    repeat_agreement_probability,
     spatial_correlations,
     spatial_kcbs_configuration,
     temporal_correlations,
-    temporal_correlations_schrodinger,
     temporal_kcbs_protocol,
     temporal_singles,
 )
@@ -236,10 +235,10 @@ class TestTemporalProtocol:
 class TestContextualConfiguration:
     def test_matches_frozen_fixture(self):
         # Regression pins against convention drift: the first pentagram
-        # observable and the axis state, stored in the debug dump format.
+        # observable and the axis state, stored in the matrix_dump format.
         from pathlib import Path
 
-        from qcycle.linalg import format_matrix, parse_matrix
+        from matrix_dump import format_matrix, parse_matrix
 
         data = Path(__file__).parent / "data"
         state, obs = contextual_kcbs_configuration()

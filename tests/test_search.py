@@ -281,6 +281,25 @@ class TestMinimizeLhs:
         for start in starts:
             assert value <= inequality_lhs(search_oracles.contextual_cone(start)) + 1e-12
 
+    @pytest.mark.parametrize("kind", SPACE_KINDS)
+    def test_calls_the_evaluator_as_nelder_mead_does(self, kind):
+        # The seeds are scored once, as vertex 0 of their simplices: no
+        # call of minimize_lhs's own goes before or after nelder_mead's.
+        space, evaluator = default_space_and_evaluator(kind)
+        scenario = canonical_scenario(5)
+        rows = []
+
+        def counted(batch):
+            rows.append(len(batch))
+            return evaluator(batch)
+
+        minimize_lhs(space, scenario, counted, seed=1, starts=16)
+        searched, rows[:] = rows[:], []
+        lows, highs = box(space)
+        x0 = np.random.default_rng(1).uniform(lows, highs, size=(16, space.dimension))
+        nelder_mead(lhs_objective(scenario, counted), x0, 0.1 * (highs - lows))
+        assert searched == rows
+
     def test_ties_go_to_the_lowest_start(self):
         # A flat objective ties every start; the first drawn start wins.
         space = temporal_times_space(5)
