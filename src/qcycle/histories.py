@@ -181,7 +181,7 @@ def consistency(family: HistoryFamily, e, g) -> float:
     """Re Tr(C_e rho C_g^dag); the pair is consistent when this vanishes."""
     ce = chain_operator(family, e)
     cg = chain_operator(family, g)
-    return float(np.trace(ce @ family.state.matrix @ dag(cg)).real)
+    return float((ce @ family.state.matrix @ dag(cg)).trace().real)
 
 
 def interference_term(family: HistoryFamily, pattern) -> float:

@@ -305,14 +305,14 @@ BUILDER_NAMES = ("kcbs-contextual", "kcbs-temporal", "kcbs-spatial", "chained-N"
 
 def _bipartite_singles(cfg: BipartiteConfig, node_obs: list[tuple[str, int]]) -> tuple[float, ...]:
     """Per-cycle-node single-observable means for a bipartite configuration."""
-    da = cfg.alice[0].dim
-    db = cfg.bob[0].dim
+    eye_a = identity(cfg.alice[0].dim)
+    eye_b = identity(cfg.bob[0].dim)
     singles = []
     for party, idx in node_obs:
         if party == "A":
-            op = kron(cfg.alice[idx].matrix, identity(db))
+            op = kron(cfg.alice[idx].matrix, eye_b)
         else:
-            op = kron(identity(da), cfg.bob[idx].matrix)
+            op = kron(eye_a, cfg.bob[idx].matrix)
         singles.append(real_trace(cfg.state.matrix @ op))
     return tuple(singles)
 

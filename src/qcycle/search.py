@@ -42,7 +42,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, su2_rotation
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron, su2_rotation, trace
 from .quantum import build, spatial_kcbs_configuration, temporal_kcbs_protocol
 from .scenario import CycleScenario, canonical_scenario, classical_bound, inequality_lhs
 
@@ -115,14 +115,14 @@ def _constants() -> _Constants:
     def heisenberg_bloch(angle: float) -> np.ndarray:
         u = su2_rotation(protocol.axis, angle)
         h = u.conj().T @ measured @ u
-        return np.array([0.5 * np.trace(h @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+        return np.array([0.5 * trace(h @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
 
     start, flipped = heisenberg_bloch(0.0), heisenberg_bloch(0.5 * math.pi)
     par, perp = 0.5 * (start + flipped), 0.5 * (start - flipped)
-    m0 = 0.5 * np.trace(measured).real
+    m0 = 0.5 * trace(measured).real
     rho = spatial_kcbs_configuration().state.matrix
     xz = (SIGMA_X, SIGMA_Z)
-    tensor = np.array([[np.trace(rho @ np.kron(a, b)).real for b in xz] for a in xz])
+    tensor = np.array([[trace(rho @ kron(a, b)).real for b in xz] for a in xz])
     tensor.flags.writeable = False
     return _Constants(
         2.0 * protocol.angular_rate, m0 * m0 + float(par @ par), float(perp @ perp), tensor

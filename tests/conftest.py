@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from qcycle.histories import HistoryFamily, family_from_observables
 from qcycle.jpd import MarginalSet
@@ -81,3 +82,17 @@ def near_facet_marginal_set(rng, n: int, excess: float, biased: bool) -> Margina
             for b, xj in enumerate((1, -1)):
                 cells[i, a, b] = (1.0 + xi * si + xj * sj + xi * xj * c[i]) / 4.0
     return MarginalSet(n, cells)
+
+
+def count_constructions(fn) -> tuple[int, int]:
+    """(Observable, State) constructions made while ``fn()`` runs."""
+    counts = {Observable: 0, State: 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in counts:
+            def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+                counts[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            mp.setattr(cls, "__init__", counted)
+        fn()
+    return counts[Observable], counts[State]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_family, random_state
+from conftest import count_constructions, random_family, random_state
 from qcycle.errors import PreconditionError
 from qcycle.histories import (
     FULL_HISTORIES,
@@ -260,6 +260,14 @@ class TestLgDecomposition:
                 found += 1
                 assert any(abs(v) > 1e-6 for _, _, v, _ in dec.pair_classification)
         assert found > 20
+
+    def test_validated_objects_per_call(self):
+        # One Observable per slot for the anticommutator route, no State,
+        # and the same again on a second call: nothing is cached.
+        fam = family_from_bloch_angles(LG_ANGLES)
+        for _ in range(2):
+            assert count_constructions(lambda: lg_decomposition(fam)) == (3, 0)
+            assert count_constructions(lambda: family_from_bloch_angles(LG_ANGLES)) == (3, 1)
 
     def test_optimizer_found_violation_has_interference(self):
         # Push the family to the strongest violation and check the witness

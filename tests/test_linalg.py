@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,23 @@ class TestKron:
         lhs = kron(a, b) @ kron(c, d)
         assert max_abs(lhs - kron(a @ c, b @ d)) < 1e-12
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bit_identical_to_numpy(self, seed):
+        # Every pair of dims 1..4, with signed zeros in both parts and
+        # transposed (non-contiguous) factors; tobytes also tells -0.0 from 0.0.
+        rng = np.random.default_rng(seed)
+        for da in range(1, 5):
+            for db in range(1, 5):
+                a, b = random_complex(rng, da), random_complex(rng, db)
+                for m in (a, b):
+                    m.real[rng.random(m.shape) < 0.3] = -0.0
+                    m.imag[rng.random(m.shape) < 0.3] = -0.0
+                    m.imag[rng.random(m.shape) < 0.2] = 0.0
+                for x, y in ((a, b), (a.T, b), (a, b.T), (a.real, b)):
+                    ours, ref = kron(x, y), np.kron(x.astype(complex), y)
+                    assert np.array_equal(ours, ref)
+                    assert ours.shape == ref.shape and ours.tobytes() == ref.tobytes()
+
 
 class TestSu2Rotation:
     def test_zero_angle(self):
@@ -79,6 +97,17 @@ class TestSu2Rotation:
     def test_non_unit_axis_rejected(self):
         with pytest.raises(PreconditionError):
             su2_rotation((0, 2, 0), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_rejected(self, bad):
+        for axis in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.6, 0.8, bad)):
+            with pytest.raises(PreconditionError, match="vector has norm"):
+                su2_rotation(axis, 0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        with pytest.raises(PreconditionError, match="rotation angle must be finite"):
+            su2_rotation((0.0, 1.0, 0.0), bad)
 
     @given(seed=st.integers(0, 10_000), theta=st.floats(-6, 6), phi=st.floats(-6, 6))
     @settings(max_examples=60, deadline=None)
@@ -108,6 +137,25 @@ class TestBlochObservable:
     def test_non_unit_rejected(self):
         with pytest.raises(PreconditionError):
             bloch_observable((0.5, 0, 0))
+
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "inf")])
+    def test_non_finite_rejected_with_plain_norm(self, bad, shown):
+        with pytest.raises(PreconditionError, match=rf"^vector has norm {shown}, expected 1$"):
+            bloch_observable((bad, 0.0, 0.0))
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_norm_is_numpys(self, seed):
+        # The reported norm is np.linalg.norm's to the last bit, near 1 and far from it.
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=3)
+        v *= (1.0 + rng.choice([1e-13, 2e-12, 0.5])) / np.linalg.norm(v)
+        norm = float(np.linalg.norm(v))
+        if abs(norm - 1.0) <= 1e-12:
+            assert bloch_observable(v).dim == 2
+        else:
+            with pytest.raises(PreconditionError, match=re.escape(f"norm {norm!r},")):
+                bloch_observable(v)
 
 
 class TestHermEigen:
@@ -191,6 +239,15 @@ class TestObservableAndState:
     def test_pure_state_normalizes(self):
         rho = pure_state([2.0, 0.0]).matrix
         assert max_abs(rho - np.diag([1.0, 0.0])) == 0.0
+
+    @given(seed=st.integers(0, 10_000), dim=st.integers(1, 4), real=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_pure_state_divides_by_numpys_norm(self, seed, dim, real):
+        rng = np.random.default_rng(seed)
+        v = rng.normal(size=dim) + (0.0 if real else 1j * rng.normal(size=dim))
+        ket = np.asarray(v, dtype=complex)
+        w = ket / np.linalg.norm(ket)
+        assert pure_state(v).matrix.tobytes() == np.outer(w, w.conj()).tobytes()
 
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)

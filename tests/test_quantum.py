@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_qubit_observable, random_state, random_unit3
+from conftest import count_constructions, random_qubit_observable, random_state, random_unit3
 from quantum_oracles import repeat_agreement_probability, temporal_correlations_schrodinger
 from qcycle.errors import PreconditionError
 from qcycle.linalg import (
@@ -375,3 +375,20 @@ class TestBuilders:
     def test_chained_singles_unbiased(self, n):
         result = build(f"chained-{n}")
         assert np.allclose(result.singles, 0.0, atol=1e-12)
+
+
+class TestValidatedObjectCounts:
+    """Every build constructs and validates its objects afresh: nothing is
+    cached or skipped. The temporal protocol builds its measured observable
+    plus five Heisenberg observables for the correlators and five more for
+    the singles.
+    """
+
+    @pytest.mark.parametrize(
+        "name, counts",
+        [("kcbs-contextual", (5, 1)), ("kcbs-temporal", (11, 1)), ("kcbs-spatial", (5, 1))]
+        + [(f"chained-{n}", (n, 1)) for n in range(3, 25)],
+    )
+    def test_observables_and_states_per_build(self, name, counts):
+        for _ in range(2):
+            assert count_constructions(lambda: build(name)) == counts
