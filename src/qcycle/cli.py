@@ -192,9 +192,8 @@ def cmd_histories(args) -> int:
     report.add("tool_version", __version__)
     report.add("seed", args.seed)
     report.add("bloch_angles", angles)
-    for outcomes in sorted(dec.probabilities, reverse=True):
-        label = "".join("p" if o == 1 else "m" for o in outcomes)
-        report.add(f"p_{label}", dec.probabilities[outcomes])
+    for outcomes, value in dec.probabilities.items():
+        report.add(f"p_{_label(outcomes)}", value)
     report.add("correlator_12", dec.correlators[0])
     report.add("correlator_23", dec.correlators[1])
     report.add("correlator_13", dec.correlators[2])
@@ -206,18 +205,17 @@ def cmd_histories(args) -> int:
     report.add("violated", violated(dec.lhs, -1.0))
     report.add("decomposition_value", dec.decomposition_value)
     for outcomes, value in dec.interference.items():
-        label = "".join("s" if o is None else ("p" if o == 1 else "m") for o in outcomes)
-        report.add(f"interference_{label}", value)
-    for e_label, g_label, value, label in dec.pair_classification:
-        key = "pair_" + _strip_label(e_label) + "_" + _strip_label(g_label)
-        report.add(key, (value, label))
+        report.add(f"interference_{_label(outcomes)}", value)
+    for e, g, value, label in dec.pair_classification:
+        report.add(f"pair_{_label(e)}_{_label(g)}", (value, label))
     report.elapsed_s = time.perf_counter() - started
     _emit(report, args)
     return 0
 
 
-def _strip_label(label: str) -> str:
-    return label.strip("()").replace(",", "").replace("+", "p").replace("-", "m").replace("*", "s")
+def _label(outcomes) -> str:
+    """Report-key label of an outcome pattern: p for +1, m for -1, s for a star."""
+    return "".join("s" if o is None else ("p" if o == 1 else "m") for o in outcomes)
 
 
 def cmd_scan(args) -> int:
@@ -310,17 +308,17 @@ def cmd_selftest(args) -> int:
         witness.feasible and witness.max_constraint_residual <= 1e-7,
     )
 
-    # Histories identities on random families.
+    # Histories identities on random families. FULL_HISTORIES lists
+    # (k, l, +1) at index 2j and (k, l, -1) at 2j + 1, so the last-slot
+    # interference terms are 2 Re D[2j, 2j + 1].
     worst_total = worst_last = 0.0
     for _ in range(100):
-        family = hist.family_from_bloch_angles(rng.uniform(0, 2 * math.pi, size=3))
-        total = sum(hist.history_probability(family, hh) for hh in hist.FULL_HISTORIES)
-        worst_total = max(worst_total, abs(total - 1.0))
-        for k in (1, -1):
-            for l in (1, -1):
-                worst_last = max(
-                    worst_last, abs(hist.interference_term(family, (k, l, None)))
-                )
+        d = hist.decoherence_functional(
+            hist.family_from_bloch_angles(rng.uniform(0, 2 * math.pi, size=3))
+        )
+        worst_total = max(worst_total, abs(d.trace().real - 1.0))
+        for j in range(4):
+            worst_last = max(worst_last, abs(2.0 * d[2 * j, 2 * j + 1].real))
     check("history completeness", worst_total < 1e-10)
     check("last-slot interference", worst_last < 1e-12)
 

@@ -2,19 +2,23 @@
 
 A history family fixes an initial state and three projective measurement
 slots, each already in the Heisenberg picture at its own time, so the module
-is purely kinematic. A history assigns +1 or -1 to each slot; a star marks a
-slot that is hypothetically not measured (summed out by completeness).
+is purely kinematic. A full history is an outcome tuple (k, l, m) of +1s and
+-1s; a pattern may carry None (a star) for a slot that is hypothetically not
+measured.
 
-Chain operators multiply the chosen projectors latest-first; the probability
-of a full history is Tr(C rho C^dag). Two histories are consistent when
-Re Tr(C_e rho C_g^dag) vanishes; the interference term of a starred pattern
-is twice that overlap between its two completions and measures exactly how
-far the starred marginal fails to equal the sum of the fine-grained
-probabilities.
+Everything rests on one object, the decoherence functional
+D(a, b) = Tr(C_a rho C_b^dag) over the 8 full histories, where the chain
+operator C = P3 P2 P1 multiplies the chosen projectors latest-first. Its
+diagonal holds the history probabilities; two histories are consistent when
+Re D(e, g) vanishes; and the interference term of a starred pattern is
+2 Re D between its two completions, which is exactly how far the starred
+marginal fails to equal the sum of the fine-grained probabilities.
+``marginal_probability`` computes starred marginals by the independent route
+of omitting the unmeasured slot.
 
 ``lg_decomposition`` assembles the full account for the three-measurement
-inequality <X1 X2> + <X2 X3> + <X1 X3> >= -1: correlators through two
-independent routes, all interference terms, the equivalent
+inequality <X1 X2> + <X2 X3> + <X1 X3> >= -1 from one D: correlators through
+two independent routes, all interference terms, the equivalent
 diagonal-plus-interference form, and the consistency classification of the
 history pairs that can carry the violation.
 """
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, VerificationError
 from .linalg import (
     Observable,
     State,
@@ -48,44 +52,7 @@ MARGINAL_TOL = 1e-6
 
 STAR = None
 
-
-@dataclass(frozen=True)
-class History:
-    """Outcomes for the three slots; None stands for a summed-out slot."""
-
-    outcomes: tuple[int | None, int | None, int | None]
-
-    def __post_init__(self):
-        outcomes = tuple(self.outcomes)
-        object.__setattr__(self, "outcomes", outcomes)
-        if len(outcomes) != SLOTS:
-            raise PreconditionError(f"history needs exactly {SLOTS} outcomes")
-        for o in outcomes:
-            if o not in (1, -1, STAR):
-                raise PreconditionError(f"outcome must be +1, -1 or None, got {o!r}")
-        if sum(o is STAR for o in outcomes) > 1:
-            raise PreconditionError("at most one summed-out slot is supported")
-
-    @property
-    def star_count(self) -> int:
-        return sum(o is STAR for o in self.outcomes)
-
-    def filled(self, value: int) -> "History":
-        if self.star_count != 1:
-            raise PreconditionError("no summed-out slot to fill")
-        return History(tuple(value if o is STAR else o for o in self.outcomes))
-
-    def label(self) -> str:
-        return "(" + ",".join("*" if o is STAR else f"{o:+d}"[0] for o in self.outcomes) + ")"
-
-
-def _coerce(h) -> History:
-    return h if isinstance(h, History) else History(tuple(h))
-
-
-FULL_HISTORIES = tuple(
-    History((k, l, m)) for k in (1, -1) for l in (1, -1) for m in (1, -1)
-)
+FULL_HISTORIES = tuple((k, l, m) for k in (1, -1) for l in (1, -1) for m in (1, -1))
 
 
 @dataclass(frozen=True)
@@ -117,7 +84,11 @@ class HistoryFamily:
         object.__setattr__(self, "slots", tuple(frozen))
 
     def projector(self, slot: int, outcome: int) -> np.ndarray:
-        return self.slots[slot][0] if outcome == 1 else self.slots[slot][1]
+        if outcome == 1:
+            return self.slots[slot][0]
+        if outcome == -1:
+            return self.slots[slot][1]
+        raise PreconditionError(f"outcome must be +1 or -1, got {outcome!r}")
 
     def observable(self, slot: int) -> Observable:
         p, q = self.slots[slot]
@@ -151,50 +122,35 @@ def family_from_protocol(protocol: TemporalProtocol) -> HistoryFamily:
 
 
 def chain_operator(family: HistoryFamily, history) -> np.ndarray:
-    """C = P3 P2 P1 for a fully specified history (later slots act leftmost)."""
-    h = _coerce(history)
-    if h.star_count != 0:
-        raise PreconditionError("chain operator needs a fully specified history")
-    k, l, m = h.outcomes
+    """C = P3 P2 P1 for a full history (k, l, m); later slots act leftmost."""
+    k, l, m = history
     return family.projector(2, m) @ family.projector(1, l) @ family.projector(0, k)
 
 
-def history_probability(family: HistoryFamily, history) -> float:
-    """Tr(C rho C^dag) for a fully specified history."""
-    c = chain_operator(family, history)
-    return real_trace(c @ family.state.matrix @ dag(c))
+def decoherence_functional(family: HistoryFamily) -> np.ndarray:
+    """D[a, b] = Tr(C_a rho C_b^dag) over ``FULL_HISTORIES``, an (8, 8) complex array.
+
+    Each chain operator is formed once. The diagonal entries are history
+    probabilities, so an imaginary part beyond 1e-10 there is an error.
+    """
+    chains = np.stack([chain_operator(family, h) for h in FULL_HISTORIES])
+    adjoints = chains.conj().transpose(0, 2, 1)
+    d = ((chains @ family.state.matrix)[:, None] @ adjoints[None]).trace(axis1=2, axis2=3)
+    worst = np.abs(d.diagonal().imag).max()
+    if worst > 1e-10:
+        raise VerificationError(f"history probability has imaginary part {worst:.3e} beyond 1e-10")
+    return d
 
 
 def marginal_probability(family: HistoryFamily, pattern) -> float:
-    """Probability with a starred slot hypothetically unmeasured (omitted)."""
-    h = _coerce(pattern)
+    """Probability of a pattern whose starred (None) slots go unmeasured (omitted)."""
+    if len(pattern) != SLOTS:
+        raise PreconditionError(f"pattern needs exactly {SLOTS} outcomes")
     chain = identity(family.state.dim)
-    for slot in range(SLOTS):
-        o = h.outcomes[slot]
-        if o is STAR:
-            continue
-        chain = family.projector(slot, o) @ chain
+    for slot, o in enumerate(pattern):
+        if o is not STAR:
+            chain = family.projector(slot, o) @ chain
     return real_trace(chain @ family.state.matrix @ dag(chain))
-
-
-def consistency(family: HistoryFamily, e, g) -> float:
-    """Re Tr(C_e rho C_g^dag); the pair is consistent when this vanishes."""
-    ce = chain_operator(family, e)
-    cg = chain_operator(family, g)
-    return float((ce @ family.state.matrix @ dag(cg)).trace().real)
-
-
-def interference_term(family: HistoryFamily, pattern) -> float:
-    """2 Re Tr(C_+ rho C_-^dag) between the two completions of one star.
-
-    This is the defect in the marginal identity: the starred marginal equals
-    the sum of the two completions plus this term. A star in the last slot
-    gives exactly zero because the final projectors are orthogonal.
-    """
-    h = _coerce(pattern)
-    if h.star_count != 1:
-        raise PreconditionError("interference needs exactly one summed-out slot")
-    return 2.0 * consistency(family, h.filled(1), h.filled(-1))
 
 
 def classify_consistency(value: float) -> str:
@@ -209,33 +165,26 @@ def classify_consistency(value: float) -> str:
 
 def _pair_correlator_via_marginals(family: HistoryFamily, slot_a: int, slot_b: int) -> float:
     """<X_a X_b> from starred-marginal probabilities of the unused slot."""
-    unused = ({0, 1, 2} - {slot_a, slot_b}).pop()
     total = 0.0
     for ka in (1, -1):
         for kb in (1, -1):
-            outcomes: list[int | None] = [STAR, STAR, STAR]
-            outcomes[slot_a] = ka
-            outcomes[slot_b] = kb
-            outcomes[unused] = STAR
-            total += ka * kb * marginal_probability(family, History(tuple(outcomes)))
+            pattern = [STAR] * SLOTS
+            pattern[slot_a], pattern[slot_b] = ka, kb
+            total += ka * kb * marginal_probability(family, pattern)
     return total
 
 
-INTERFERENCE_PATTERNS = tuple(
-    History(p)
+def _completion(pattern, value: int) -> int:
+    """Index in ``FULL_HISTORIES`` of ``pattern`` with its star set to ``value``."""
+    return FULL_HISTORIES.index(tuple(value if o is STAR else o for o in pattern))
+
+
+# (starred pattern, e, g): the pattern's interference term is 2 Re D[e, g]
+# between its completions e (star = +1) and g (star = -1).
+INTERFERENCE_TABLE = tuple(
+    (p, _completion(p, 1), _completion(p, -1))
     for k in (1, -1)
     for p in ((STAR, k, k), (k, STAR, k), (STAR, k, -k), (k, STAR, -k))
-)
-
-HISTORY_PAIRS = tuple(
-    (History(e), History(g))
-    for k in (1, -1)
-    for e, g in (
-        ((1, k, k), (-1, k, k)),
-        ((k, 1, k), (k, -1, k)),
-        ((1, k, -k), (-1, k, -k)),
-        ((k, 1, -k), (k, -1, -k)),
-    )
 )
 
 
@@ -249,7 +198,7 @@ class LgDecomposition:
     lhs: float
     interference: dict[tuple[int | None, int | None, int | None], float]
     decomposition_value: float
-    pair_classification: tuple[tuple[str, str, float, str], ...]
+    pair_classification: tuple[tuple[tuple[int, int, int], tuple[int, int, int], float, str], ...]
 
 
 def lg_decomposition(family: HistoryFamily) -> LgDecomposition:
@@ -261,9 +210,8 @@ def lg_decomposition(family: HistoryFamily) -> LgDecomposition:
     sum_k (4 p(k,k,k) + I(*,k,k) + I(k,*,k) - I(*,k,-k) - I(k,*,-k)),
     which equals lhs + 1 and is nonnegative exactly when the inequality holds.
     """
-    probabilities = {
-        h.outcomes: history_probability(family, h) for h in FULL_HISTORIES
-    }
+    re = decoherence_functional(family).real.tolist()
+    probabilities = {h: re[i][i] for i, h in enumerate(FULL_HISTORIES)}
     c12 = _pair_correlator_via_marginals(family, 0, 1)
     c23 = _pair_correlator_via_marginals(family, 1, 2)
     c13 = _pair_correlator_via_marginals(family, 0, 2)
@@ -274,18 +222,17 @@ def lg_decomposition(family: HistoryFamily) -> LgDecomposition:
         anticommutator_correlation(rho, obs[1], obs[2]),
         anticommutator_correlation(rho, obs[0], obs[2]),
     )
-    interference = {
-        p.outcomes: interference_term(family, p) for p in INTERFERENCE_PATTERNS
-    }
+    interference = {}
+    pairs = []
+    for pattern, e, g in INTERFERENCE_TABLE:
+        value = re[e][g]
+        interference[pattern] = 2.0 * value
+        pairs.append((FULL_HISTORIES[e], FULL_HISTORIES[g], value, classify_consistency(value)))
     decomposition = 0.0
     for k in (1, -1):
         decomposition += 4.0 * probabilities[(k, k, k)]
         decomposition += interference[(STAR, k, k)] + interference[(k, STAR, k)]
         decomposition -= interference[(STAR, k, -k)] + interference[(k, STAR, -k)]
-    pairs = []
-    for e, g in HISTORY_PAIRS:
-        value = consistency(family, e, g)
-        pairs.append((e.label(), g.label(), value, classify_consistency(value)))
     return LgDecomposition(
         probabilities=probabilities,
         correlators=(c12, c23, c13),

@@ -31,7 +31,6 @@ WITNESS_RESIDUAL_TOL = 1e-7
 NO_DISTURBANCE_TOL = 1e-7
 
 OUTCOMES = (1, -1)
-_IDX = {1: 0, -1: 1}
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,9 @@ def _closest_facet(m: MarginalSet) -> tuple[tuple[int, ...], float]:
     odd-parity maximum flips the entry of smallest |c_i| (lowest index on
     ties) and loses 2 min|c_i|.
     """
-    c = np.array([m.correlator(i) for i in range(m.n)])
+    cells = m.cells
+    # The sum order of MarginalSet.correlator, for every pair at once.
+    c = cells[:, 0, 0] + cells[:, 1, 1] - cells[:, 0, 1] - cells[:, 1, 0]
     size = np.abs(c)
     gamma = np.where(c < 0, -1, 1)
     total = float(size.sum())
@@ -159,20 +160,23 @@ def _closest_facet(m: MarginalSet) -> tuple[tuple[int, ...], float]:
     return tuple(int(g) for g in gamma), total - (m.n - 2)
 
 
-def _pair_constraint_matrix(n: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """Rows of the LP: one normalization row plus 4 rows per adjacent pair."""
+def _pair_constraint_matrix(n: int) -> np.ndarray:
+    """Rows of the LP: one normalization row plus 4 rows per adjacent pair.
+
+    The pair rows run in (i, x_i, x_j) order over ``OUTCOMES``, the order of
+    ``MarginalSet.cells.ravel()``, so the right-hand side is 1 followed by
+    the raveled cells.
+    """
     size = 1 << n
     idx = np.arange(size, dtype=np.int64)
     sign = 1 - 2 * ((idx[:, None] >> np.arange(n, dtype=np.int64)) & 1)  # (size, n)
     rows = [np.ones(size)]
-    labels: list[tuple[int, int, int]] = [(-1, 0, 0)]
     for i in range(n):
         j = (i + 1) % n
         for xi in OUTCOMES:
             for xj in OUTCOMES:
                 rows.append(((sign[:, i] == xi) & (sign[:, j] == xj)).astype(float))
-                labels.append((i, xi, xj))
-    return np.vstack(rows), labels
+    return np.vstack(rows)
 
 
 def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> tuple[float, np.ndarray]:
@@ -242,11 +246,8 @@ def jpd_feasible(m: MarginalSet) -> JpdWitness:
     facet, excess = _closest_facet(m)
     if excess > FEASIBILITY_TOL:
         return JpdWitness(False, None, excess, None, facet, excess)
-    a, labels = _pair_constraint_matrix(m.n)
-    b = np.empty(len(labels))
-    b[0] = 1.0
-    for r, (i, xi, xj) in enumerate(labels[1:], start=1):
-        b[r] = m.cells[i, _IDX[xi], _IDX[xj]]
+    a = _pair_constraint_matrix(m.n)
+    b = np.concatenate(([1.0], m.cells.ravel()))
     phase1, q = _phase1_simplex(a, b)
     residual = float(np.max(np.abs(a @ q - b)))
     if residual > WITNESS_RESIDUAL_TOL:
@@ -259,19 +260,6 @@ def jpd_feasible(m: MarginalSet) -> JpdWitness:
     return JpdWitness(
         True, distribution, residual, phase1, facet, excess, near_boundary=excess > 1e-12
     )
-
-
-def witness_correlators(witness: JpdWitness, n: int) -> tuple[float, ...]:
-    """Adjacent-pair correlators implied by a witness distribution."""
-    if witness.distribution is None:
-        raise PreconditionError("no distribution to read correlators from")
-    idx = np.fromiter(witness.distribution.keys(), dtype=np.int64)
-    w = np.fromiter(witness.distribution.values(), dtype=float)
-    sign = 1 - 2 * ((idx[:, None] >> np.arange(n, dtype=np.int64)) & 1)
-    values = []
-    for i in range(n):
-        values.append(float(np.sum(w * sign[:, i] * sign[:, (i + 1) % n])))
-    return tuple(values)
 
 
 def witness_to_text(witness: JpdWitness, n: int) -> str:

@@ -37,12 +37,6 @@ class RunReport:
     def add(self, key: str, value) -> None:
         self.fields.append((key, value))
 
-    def get(self, key: str):
-        for k, v in self.fields:
-            if k == key:
-                return v
-        raise KeyError(key)
-
     def structured(self) -> str:
         lines = [
             "# qcycle report v1",

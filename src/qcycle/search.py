@@ -44,7 +44,13 @@ import numpy as np
 from .errors import PreconditionError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron, su2_rotation, trace
 from .quantum import build, spatial_kcbs_configuration, temporal_kcbs_protocol
-from .scenario import CycleScenario, canonical_scenario, classical_bound, inequality_lhs
+from .scenario import (
+    CycleScenario,
+    canonical_scenario,
+    check_enumeration_cap,
+    classical_bound,
+    inequality_lhs,
+)
 
 SPACE_KINDS = ("temporal-times", "bloch-angles", "contextual-cone")
 
@@ -337,7 +343,11 @@ def minimize_lhs(
 
 
 def scan_chained(n_min: int, n_max: int):
-    """Rows (n, quantum value, classical bound) for the chained family."""
+    """Rows (n, quantum value, classical bound) for the chained family.
+
+    The bound's cap is checked for ``n_max`` before anything is built.
+    """
+    check_enumeration_cap(n_max)
     rows = []
     for n in range(n_min, n_max + 1):
         result = build(f"chained-{n}")

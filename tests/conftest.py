@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qcycle.histories import HistoryFamily, family_from_observables
+from qcycle.histories import FULL_HISTORIES, HistoryFamily, family_from_observables
 from qcycle.jpd import MarginalSet
 from qcycle.linalg import Observable, State, bloch_observable, pure_state
 
@@ -38,6 +38,14 @@ def random_family(rng) -> HistoryFamily:
     state = random_state(rng)
     return family_from_observables(
         state, [random_qubit_observable(rng) for _ in range(3)]
+    )
+
+
+def completions(pattern) -> tuple[int, int]:
+    """Indices in FULL_HISTORIES of a one-star pattern with the star set to +1 and to -1."""
+    return tuple(
+        FULL_HISTORIES.index(tuple(value if o is None else o for o in pattern))
+        for value in (1, -1)
     )
 
 

@@ -12,17 +12,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_family, random_marginal_set, random_qubit_observable, random_state
-from qcycle.cli import main
-from qcycle.histories import (
-    FULL_HISTORIES,
-    History,
-    history_probability,
-    interference_term,
-    lg_decomposition,
-    marginal_probability,
+from conftest import (
+    completions,
+    random_family,
+    random_marginal_set,
+    random_qubit_observable,
+    random_state,
 )
-from qcycle.jpd import correlators_to_marginals, jpd_feasible, witness_correlators
+from witness_oracle import witness_correlators
+from qcycle.cli import main
+from qcycle.histories import decoherence_functional, lg_decomposition, marginal_probability
+from qcycle.jpd import correlators_to_marginals, jpd_feasible
 from qcycle.quantum import anticommutator_correlation, correlation_sequential
 from qcycle.report import parse_structured
 from qcycle.scenario import (
@@ -175,20 +175,18 @@ def test_criterion_7_histories_identities(capsys):
     violations = witnesses = 0
     for _ in range(1000):
         fam = random_family(rng)
-        total = sum(history_probability(fam, h) for h in FULL_HISTORIES)
-        worst_total = max(worst_total, abs(total - 1.0))
+        d = decoherence_functional(fam)
+        re = d.real
+        worst_total = max(worst_total, abs(d.trace().real - 1.0))
         for k, l in itertools.product((1, -1), repeat=2):
-            worst_last = max(worst_last, abs(interference_term(fam, (k, l, None))))
+            e, g = completions((k, l, None))
+            worst_last = max(worst_last, abs(2 * re[e, g]))
         for pos in range(3):
             for k, m in itertools.product((1, -1), repeat=2):
-                outcomes = [k, m]
-                outcomes.insert(pos, None)
-                pattern = History(tuple(outcomes))
-                gap = marginal_probability(fam, pattern) - (
-                    history_probability(fam, pattern.filled(1))
-                    + history_probability(fam, pattern.filled(-1))
-                    + interference_term(fam, pattern)
-                )
+                pattern = [k, m]
+                pattern.insert(pos, None)
+                e, g = completions(pattern)
+                gap = marginal_probability(fam, pattern) - (re[e, e] + re[g, g] + 2 * re[e, g])
                 worst_marginal = max(worst_marginal, abs(gap))
         dec = lg_decomposition(fam)
         if dec.lhs < -1.0 - 1e-6:

@@ -305,6 +305,16 @@ class TestScan:
         assert code == 0
         assert target.read_text().startswith("parameter,lhs_value,classical_bound")
 
+    def test_chained_cap_checked_before_building(self, capsys, monkeypatch):
+        def refuse(name):
+            raise AssertionError(f"built {name} before checking the enumeration cap")
+
+        monkeypatch.setattr("qcycle.quantum.build", refuse)
+        monkeypatch.setattr("qcycle.search.build", refuse)
+        code = main(["scan", "--builder", "chained", "--min", "3", "--max", "30"])
+        assert code == 3
+        assert capsys.readouterr().err == "resource limit: enumeration capped at n <= 24, got 30\n"
+
     def test_bad_param_is_usage_error(self, capsys):
         code, _ = run_cli(
             capsys, "scan", "--builder", "chained", "--param", "q", "--min", "1", "--max", "2"

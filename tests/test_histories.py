@@ -1,24 +1,23 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import count_constructions, random_family, random_state
-from qcycle.errors import PreconditionError
+from conftest import completions, count_constructions, random_family, random_state
+from qcycle import histories
+from qcycle.errors import PreconditionError, VerificationError
 from qcycle.histories import (
     FULL_HISTORIES,
-    History,
     HistoryFamily,
     chain_operator,
     classify_consistency,
-    consistency,
+    decoherence_functional,
     family_from_bloch_angles,
     family_from_protocol,
-    history_probability,
-    interference_term,
     lg_decomposition,
     marginal_probability,
 )
@@ -42,6 +41,12 @@ def identity_slot(dim=2):
     return identity(dim), np.zeros((dim, dim), dtype=complex)
 
 
+def interference(d, pattern) -> float:
+    """2 Re D between the two completions of a one-star pattern."""
+    e, g = completions(pattern)
+    return 2 * d[e, g].real
+
+
 def three_step_luders(family, outcomes):
     """Independent oracle: explicit measure-collapse-measure-collapse walk."""
     rho = family.state.matrix.copy()
@@ -54,24 +59,6 @@ def three_step_luders(family, outcomes):
         rho = p @ rho @ p / branch
         prob *= branch
     return prob
-
-
-class TestHistoryType:
-    def test_star_count_limited(self):
-        with pytest.raises(PreconditionError):
-            History((None, None, 1))
-
-    def test_bad_symbol_rejected(self):
-        with pytest.raises(PreconditionError):
-            History((2, 1, 1))
-
-    def test_filled(self):
-        h = History((None, 1, -1))
-        assert h.filled(1).outcomes == (1, 1, -1)
-        assert h.filled(-1).outcomes == (-1, 1, -1)
-
-    def test_label(self):
-        assert History((1, None, -1)).label() == "(+,*,-)"
 
 
 class TestChainOperator:
@@ -98,7 +85,7 @@ class TestChainOperator:
         plus = np.array([1, 1]) / math.sqrt(2)
         expected = np.outer(plus, plus) @ np.diag([1.0, 0.0])
         assert max_abs(c - expected) < 1e-12
-        assert history_probability(fam, (1, 1, 1)) == pytest.approx(0.25, abs=1e-12)
+        assert decoherence_functional(fam)[0, 0].real == pytest.approx(0.25, abs=1e-12)
 
     def test_star_rejected(self):
         fam = family_from_bloch_angles(LG_ANGLES)
@@ -109,28 +96,25 @@ class TestChainOperator:
 class TestHistoryProbability:
     def test_identity_slots_give_one(self):
         fam = HistoryFamily(maximally_mixed(2), (identity_slot(), identity_slot(), identity_slot()))
-        assert history_probability(fam, (1, 1, 1)) == pytest.approx(1.0, abs=1e-12)
+        assert decoherence_functional(fam)[0, 0].real == pytest.approx(1.0, abs=1e-12)
 
     def test_lg_completeness(self):
         fam = family_from_bloch_angles(LG_ANGLES)
-        total = sum(history_probability(fam, h) for h in FULL_HISTORIES)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert decoherence_functional(fam).trace().real == pytest.approx(1.0, abs=1e-12)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
     def test_completeness_random(self, seed):
         fam = random_family(np.random.default_rng(seed))
-        total = sum(history_probability(fam, h) for h in FULL_HISTORIES)
-        assert total == pytest.approx(1.0, abs=1e-10)
+        assert decoherence_functional(fam).trace().real == pytest.approx(1.0, abs=1e-10)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_matches_luders_oracle(self, seed):
         fam = random_family(np.random.default_rng(seed))
-        for h in FULL_HISTORIES:
-            assert history_probability(fam, h) == pytest.approx(
-                three_step_luders(fam, h.outcomes), abs=1e-10
-            )
+        d = decoherence_functional(fam)
+        for i, h in enumerate(FULL_HISTORIES):
+            assert d[i, i].real == pytest.approx(three_step_luders(fam, h), abs=1e-10)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
@@ -138,43 +122,28 @@ class TestHistoryProbability:
         # Tr(P3 C rho C^dag P3) = Tr(P3 C rho C^dag) by idempotence under the
         # trace, so dropping the trailing projector changes nothing.
         fam = random_family(np.random.default_rng(seed))
-        for k, l, m in itertools.product((1, -1), repeat=3):
+        d = decoherence_functional(fam)
+        for i, (k, l, m) in enumerate(FULL_HISTORIES):
             partial = fam.projector(1, l) @ fam.projector(0, k)
             alt = np.trace(
                 fam.projector(2, m) @ partial @ fam.state.matrix @ dag(partial)
             ).real
-            assert history_probability(fam, (k, l, m)) == pytest.approx(alt, abs=1e-12)
+            assert d[i, i].real == pytest.approx(alt, abs=1e-12)
 
 
 class TestConsistency:
-    def test_diagonal_is_probability(self):
-        fam = family_from_bloch_angles(LG_ANGLES)
-        for h in FULL_HISTORIES:
-            assert consistency(fam, h, h) == pytest.approx(
-                history_probability(fam, h), abs=1e-12
-            )
-
     def test_commuting_slots_are_consistent(self):
         z = observable_from_matrix(SIGMA_Z)
         slot = (z.proj_plus, z.proj_minus)
         fam = HistoryFamily(maximally_mixed(2), (slot, slot, slot))
-        e, g = History((1, 1, 1)), History((-1, 1, 1))
-        assert consistency(fam, e, g) == pytest.approx(0.0, abs=1e-14)
+        e, g = completions((None, 1, 1))
+        assert decoherence_functional(fam)[e, g].real == pytest.approx(0.0, abs=1e-14)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_symmetric(self, seed):
-        rng = np.random.default_rng(seed)
-        fam = random_family(rng)
-        e = FULL_HISTORIES[int(rng.integers(0, 8))]
-        g = FULL_HISTORIES[int(rng.integers(0, 8))]
-        assert consistency(fam, e, g) == pytest.approx(consistency(fam, g, e), abs=1e-12)
-
-    def test_relation_to_interference(self):
-        fam = family_from_bloch_angles((0.4, 1.3, 2.6), random_state(np.random.default_rng(3)))
-        for k in (1, -1):
-            pair = consistency(fam, History((1, k, k)), History((-1, k, k)))
-            assert interference_term(fam, (None, k, k)) == pytest.approx(2 * pair, abs=1e-12)
+        re = decoherence_functional(random_family(np.random.default_rng(seed))).real
+        assert max_abs(re - re.T) <= 1e-12
 
     def test_classification_thresholds(self):
         assert classify_consistency(5e-11) == "consistent"
@@ -186,16 +155,16 @@ class TestInterference:
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=100, deadline=None)
     def test_last_slot_vanishes(self, seed):
-        fam = random_family(np.random.default_rng(seed))
+        d = decoherence_functional(random_family(np.random.default_rng(seed)))
         for k, l in itertools.product((1, -1), repeat=2):
-            assert abs(interference_term(fam, (k, l, None))) <= 1e-12
+            assert abs(interference(d, (k, l, None))) <= 1e-12
 
     def test_commuting_slots_have_no_interference(self):
         z = observable_from_matrix(SIGMA_Z)
         slot = (z.proj_plus, z.proj_minus)
-        fam = HistoryFamily(pure_state([0.6, 0.8]), (slot, slot, slot))
+        d = decoherence_functional(HistoryFamily(pure_state([0.6, 0.8]), (slot, slot, slot)))
         for pattern in ((None, 1, 1), (1, None, 1), (None, 1, -1), (1, None, -1)):
-            assert abs(interference_term(fam, pattern)) <= 1e-12
+            assert abs(interference(d, pattern)) <= 1e-12
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=80, deadline=None)
@@ -203,26 +172,66 @@ class TestInterference:
         # p(pattern with star) = p(+ filled) + p(- filled) + I(pattern),
         # both sides computed by independent routes.
         fam = random_family(np.random.default_rng(seed))
+        d = decoherence_functional(fam)
         for pos in range(3):
             for k, m in itertools.product((1, -1), repeat=2):
-                outcomes = [k, m]
-                outcomes.insert(pos, None)
-                pattern = History(tuple(outcomes))
+                pattern = [k, m]
+                pattern.insert(pos, None)
+                e, g = completions(pattern)
                 lhs = marginal_probability(fam, pattern)
-                rhs = (
-                    history_probability(fam, pattern.filled(1))
-                    + history_probability(fam, pattern.filled(-1))
-                    + interference_term(fam, pattern)
-                )
+                rhs = d[e, e].real + d[g, g].real + interference(d, pattern)
                 assert lhs == pytest.approx(rhs, abs=1e-10)
 
     def test_wrong_star_count_rejected(self):
+        # D is indexed by full histories only: a chain with any star is refused.
         fam = family_from_bloch_angles(LG_ANGLES)
-        with pytest.raises(PreconditionError):
-            interference_term(fam, (1, 1, 1))
+        for pattern in ((1, 1, None), (None, 1, None), (None, None, None)):
+            with pytest.raises(PreconditionError):
+                chain_operator(fam, pattern)
+
+
+class TestDecoherenceFunctional:
+    def test_complex_diagonal_rejected(self):
+        # A valid family always has a real diagonal; a non-Hermitian "state"
+        # behind the same projectors must trip the probability check.
+        fam = family_from_bloch_angles(LG_ANGLES)
+        fake = SimpleNamespace(
+            projector=fam.projector,
+            state=SimpleNamespace(matrix=np.diag([0.5, 0.5 + 1e-3j])),
+        )
+        with pytest.raises(VerificationError):
+            decoherence_functional(fake)
 
 
 class TestLgDecomposition:
+    def test_reads_one_decoherence_functional(self):
+        # Probabilities are the diagonal of D; each interference term is twice
+        # the pair value at the pattern's own completions, never in the last slot.
+        fam = family_from_bloch_angles((0.4, 1.3, 2.6), random_state(np.random.default_rng(3)))
+        d = decoherence_functional(fam)
+        dec = lg_decomposition(fam)
+        assert list(dec.probabilities) == list(FULL_HISTORIES)
+        for i, h in enumerate(FULL_HISTORIES):
+            assert dec.probabilities[h] == d[i, i].real
+        assert len(dec.interference) == len(dec.pair_classification) == 8
+        for (pattern, term), (pe, pg, value, _) in zip(dec.interference.items(), dec.pair_classification):
+            e, g = completions(pattern)
+            assert pattern[2] is not None
+            assert (pe, pg) == (FULL_HISTORIES[e], FULL_HISTORIES[g])
+            assert value == d[e, g].real
+            assert term == 2 * value
+
+    def test_each_chain_formed_once(self, monkeypatch):
+        calls = []
+
+        def counted(family, history, _chain=histories.chain_operator):
+            calls.append(tuple(history))
+            return _chain(family, history)
+
+        monkeypatch.setattr(histories, "chain_operator", counted)
+        lg_decomposition(family_from_bloch_angles(LG_ANGLES))
+        assert sorted(calls) == sorted(FULL_HISTORIES)
+
     def test_equal_observables(self):
         fam = family_from_bloch_angles((0.7, 0.7, 0.7))
         dec = lg_decomposition(fam)
@@ -303,6 +312,13 @@ class TestFamilyBuilders:
     def test_from_protocol_requires_three_times(self):
         with pytest.raises(PreconditionError):
             family_from_protocol(temporal_kcbs_protocol())
+
+    @pytest.mark.parametrize("bad", [None, 0, 2])
+    def test_projector_rejects_bad_outcome(self, bad):
+        # None would otherwise fall through to the minus projector.
+        fam = family_from_bloch_angles(LG_ANGLES)
+        with pytest.raises(PreconditionError):
+            fam.projector(0, bad)
 
     def test_bad_projectors_rejected(self):
         good = observable_from_matrix(SIGMA_Z)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import near_facet_marginal_set, random_marginal_set
 from facet_oracle import enumerated_facet_excess
+from witness_oracle import witness_correlators
 from qcycle import jpd
 from qcycle.errors import PreconditionError, ResourceLimitError, VerificationError
 from qcycle.jpd import (
@@ -15,7 +16,6 @@ from qcycle.jpd import (
     _phase1_simplex,
     correlators_to_marginals,
     jpd_feasible,
-    witness_correlators,
     witness_to_text,
 )
 from qcycle.quantum import build
@@ -61,12 +61,7 @@ def boundary_mixture(n=5):
 
 def lp_rows(m):
     """The feasibility LP of m: constraint matrix and right-hand side."""
-    a, labels = _pair_constraint_matrix(m.n)
-    b = np.empty(len(labels))
-    b[0] = 1.0
-    for r, (i, xi, xj) in enumerate(labels[1:], start=1):
-        b[r] = m.cells[i, 0 if xi == 1 else 1, 0 if xj == 1 else 1]
-    return a, b
+    return _pair_constraint_matrix(m.n), np.concatenate(([1.0], m.cells.ravel()))
 
 
 def correlators_of(m):
