@@ -109,7 +109,7 @@ def cmd_bound(args) -> int:
         if args.n is None:
             raise PreconditionError("bound needs --n or --file")
         if args.signs:
-            scenario = CycleScenario(args.n, tuple(int(s) for s in args.signs))
+            scenario = CycleScenario(args.n, tuple(args.signs))
         else:
             scenario = canonical_scenario(args.n)
         source = "command line"
@@ -347,6 +347,17 @@ def _random_unit(rng) -> tuple[float, float, float]:
     return tuple(v)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative integer, as numpy's generators require."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seeds are non-negative integers, got {text!r}")
+    return value
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcycle",
@@ -358,7 +369,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", help="write the report to this path")
 
     p_eval = sub.add_parser("evaluate", help="build a configuration and evaluate its inequality")
@@ -368,7 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="classical bound of a cycle scenario from its sign parity")
     p_bound.add_argument("--n", type=int)
-    p_bound.add_argument("--signs", nargs="+")
+    p_bound.add_argument("--signs", type=int, nargs="+")
     p_bound.add_argument("--file", help="scenario description file")
     common(p_bound)
     p_bound.set_defaults(func=cmd_bound)

@@ -1,10 +1,11 @@
 """Consistent-histories analysis of three sequential +-1 measurements.
 
-A history family fixes an initial state and three projective measurement
-slots, each already in the Heisenberg picture at its own time, so the module
-is purely kinematic. A full history is an outcome tuple (k, l, m) of +1s and
--1s; a pattern may carry None (a star) for a slot that is hypothetically not
-measured.
+A history family fixes an initial state and three slot observables, the
+same validated ``linalg.Observable`` the other scenarios measure, each
+already in the Heisenberg picture at its own time, so the module is purely
+kinematic; a slot's projectors are its observable's. A full history is an
+outcome tuple (k, l, m) of +1s and -1s; a pattern may carry None (a star)
+for a slot that is hypothetically not measured.
 
 Everything rests on one object, the decoherence functional
 D(a, b) = Tr(C_a rho C_b^dag) over the 8 full histories, where the chain
@@ -31,19 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .linalg import (
-    Observable,
-    State,
-    as_matrix,
-    bloch_observable,
-    dag,
-    identity,
-    is_hermitian,
-    max_abs,
-    maximally_mixed,
-    real_trace,
-)
-from .quantum import anticommutator_correlation, heisenberg_observable
+from .linalg import Observable, State, dag, identity, maximally_mixed, real_trace
+from .quantum import anticommutator_correlation, heisenberg_observable, xz_observable
 from .scenario import TemporalProtocol
 
 SLOTS = 3
@@ -57,46 +47,21 @@ FULL_HISTORIES = tuple((k, l, m) for k in (1, -1) for l in (1, -1) for m in (1, 
 
 @dataclass(frozen=True)
 class HistoryFamily:
-    """Initial state plus three projector pairs (P_plus, P_minus) per slot."""
+    """Initial state plus the three slot observables, earliest first."""
 
     state: State
-    slots: tuple[tuple[np.ndarray, np.ndarray], ...]
+    observables: tuple[Observable, ...]
 
     def __post_init__(self):
-        if len(self.slots) != SLOTS:
-            raise PreconditionError(f"family needs exactly {SLOTS} slots")
-        eye = identity(self.state.dim)
-        frozen = []
-        for p_plus, p_minus in self.slots:
-            p, q = as_matrix(p_plus).copy(), as_matrix(p_minus).copy()
-            for proj in (p, q):
-                if not is_hermitian(proj, 1e-10):
-                    raise PreconditionError("projector is not Hermitian")
-                if max_abs(proj @ proj - proj) > 1e-10:
-                    raise PreconditionError("projector is not idempotent")
-            if max_abs(p + q - eye) > 1e-10:
-                raise PreconditionError("slot projectors do not sum to identity")
-            if max_abs(p @ q) > 1e-10:
-                raise PreconditionError("slot projectors are not orthogonal")
-            p.setflags(write=False)
-            q.setflags(write=False)
-            frozen.append((p, q))
-        object.__setattr__(self, "slots", tuple(frozen))
+        if len(self.observables) != SLOTS:
+            raise PreconditionError(
+                f"family needs exactly {SLOTS} observables, got {len(self.observables)}"
+            )
+        if any(o.dim != self.state.dim for o in self.observables):
+            raise PreconditionError("slot observable and state dimensions differ")
 
     def projector(self, slot: int, outcome: int) -> np.ndarray:
-        if outcome == 1:
-            return self.slots[slot][0]
-        if outcome == -1:
-            return self.slots[slot][1]
-        raise PreconditionError(f"outcome must be +1 or -1, got {outcome!r}")
-
-    def observable(self, slot: int) -> Observable:
-        p, q = self.slots[slot]
-        return Observable(p - q, p, q)
-
-
-def family_from_observables(state: State, observables) -> HistoryFamily:
-    return HistoryFamily(state, tuple((o.proj_plus, o.proj_minus) for o in observables))
+        return self.observables[slot].projector(outcome)
 
 
 def family_from_bloch_angles(angles, state: State | None = None) -> HistoryFamily:
@@ -107,18 +72,15 @@ def family_from_bloch_angles(angles, state: State | None = None) -> HistoryFamil
         raise PreconditionError(f"Bloch angles must be finite, got {tuple(angles)}")
     if state is None:
         state = maximally_mixed(2)
-    obs = [
-        bloch_observable((math.sin(a), 0.0, math.cos(a))) for a in angles
-    ]
-    return family_from_observables(state, obs)
+    return HistoryFamily(state, tuple(xz_observable(a) for a in angles))
 
 
 def family_from_protocol(protocol: TemporalProtocol) -> HistoryFamily:
     """Heisenberg-picture slots at the protocol's three times."""
     if protocol.n != SLOTS:
         raise PreconditionError("protocol must have exactly 3 times")
-    obs = [heisenberg_observable(protocol, t) for t in protocol.times]
-    return family_from_observables(protocol.initial_state, obs)
+    obs = tuple(heisenberg_observable(protocol, t) for t in protocol.times)
+    return HistoryFamily(protocol.initial_state, obs)
 
 
 def chain_operator(family: HistoryFamily, history) -> np.ndarray:
@@ -215,8 +177,7 @@ def lg_decomposition(family: HistoryFamily) -> LgDecomposition:
     c12 = _pair_correlator_via_marginals(family, 0, 1)
     c23 = _pair_correlator_via_marginals(family, 1, 2)
     c13 = _pair_correlator_via_marginals(family, 0, 2)
-    rho = family.state
-    obs = [family.observable(i) for i in range(SLOTS)]
+    rho, obs = family.state, family.observables
     anti = (
         anticommutator_correlation(rho, obs[0], obs[1]),
         anticommutator_correlation(rho, obs[1], obs[2]),

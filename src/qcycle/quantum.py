@@ -36,7 +36,6 @@ from .linalg import (
     identity,
     kron,
     maximally_mixed,
-    observable_from_matrix,
     pure_state,
     real_trace,
     su2_rotation,
@@ -136,7 +135,7 @@ def correlation_spatial(cfg: BipartiteConfig, i: int, j: int) -> float:
 def heisenberg_observable(protocol: TemporalProtocol, t: float) -> Observable:
     """The measured observable evolved to time t: U(t)^dag X U(t)."""
     u = su2_rotation(protocol.axis, protocol.angular_rate * t)
-    return observable_from_matrix(dag(u) @ protocol.measured.matrix @ u)
+    return Observable(dag(u) @ protocol.measured.matrix @ u)
 
 
 def temporal_correlations(protocol: TemporalProtocol) -> CorrelationVector:
@@ -183,7 +182,7 @@ def temporal_kcbs_protocol() -> TemporalProtocol:
         axis=(0.0, 1.0, 0.0),
         angular_rate=8.0 * math.pi / 5.0,
         times=(0.0, 0.25, 0.5, 0.75, 1.0),
-        measured=observable_from_matrix(SIGMA_Z),
+        measured=Observable(SIGMA_Z),
     )
 
 
@@ -211,7 +210,7 @@ def contextual_kcbs_configuration() -> tuple[State, tuple[Observable, ...]]:
     vs = pentagram_vectors()
     eye = identity(3)
     observables = tuple(
-        observable_from_matrix(2.0 * np.outer(v, v) - eye) for v in vs
+        Observable(2.0 * np.outer(v, v) - eye) for v in vs
     )
     return pure_state([0.0, 0.0, 1.0]), observables
 
@@ -228,7 +227,7 @@ def contextual_correlations(
     return CorrelationVector(canonical_scenario(n), values)
 
 
-def _xz_observable(angle: float) -> Observable:
+def xz_observable(angle: float) -> Observable:
     """M(angle) = cos(angle) sigma_z + sin(angle) sigma_x."""
     return bloch_observable((math.sin(angle), 0.0, math.cos(angle)))
 
@@ -243,7 +242,7 @@ def spatial_kcbs_configuration() -> BipartiteConfig:
     sigmas = []
     for i in range(5):
         r = su2_rotation((0.0, 1.0, 0.0), 2.0 * math.pi * i / 5.0)
-        sigmas.append(observable_from_matrix(r @ SIGMA_Z @ dag(r)))
+        sigmas.append(Observable(r @ SIGMA_Z @ dag(r)))
     pairing = tuple((i, (i + 1) % 5, 1) for i in range(5))
     return BipartiteConfig(bell_phi_plus(), tuple(sigmas), tuple(sigmas), pairing)
 
@@ -280,7 +279,7 @@ def chained_configuration(n: int) -> BipartiteConfig:
         pairing.append((0, half - 1, signs[n - 1]))
         return BipartiteConfig(state, alice, bob, tuple(pairing))
     settings = tuple(
-        _xz_observable((math.pi - math.pi / n) * m) for m in range(n)
+        xz_observable((math.pi - math.pi / n) * m) for m in range(n)
     )
     pairing = tuple((i, (i + 1) % n, signs[i]) for i in range(n))
     return BipartiteConfig(state, settings, settings, pairing)

@@ -333,6 +333,8 @@ def minimize_lhs(
     """
     if starts < 1:
         raise PreconditionError("need at least one start")
+    if seed < 0:
+        raise PreconditionError(f"seeds are non-negative integers, got {seed}")
     objective = lhs_objective(scenario, evaluator)
     rng = np.random.default_rng(seed)
     lows, highs = np.array(space.bounds).T

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qcycle.histories import FULL_HISTORIES, HistoryFamily, family_from_observables
+from qcycle.histories import FULL_HISTORIES, HistoryFamily
 from qcycle.jpd import MarginalSet
 from qcycle.linalg import Observable, State, bloch_observable, pure_state
 
@@ -36,9 +36,7 @@ def random_state(rng, dim: int = 2) -> State:
 
 def random_family(rng) -> HistoryFamily:
     state = random_state(rng)
-    return family_from_observables(
-        state, [random_qubit_observable(rng) for _ in range(3)]
-    )
+    return HistoryFamily(state, tuple(random_qubit_observable(rng) for _ in range(3)))
 
 
 def completions(pattern) -> tuple[int, int]:

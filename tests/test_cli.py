@@ -1,9 +1,13 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcycle.cli import main
 from qcycle.report import parse_structured
@@ -14,6 +18,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def exit_code(argv) -> tuple[int, str]:
+    """Exit code and stderr of one in-process call; argparse errors exit through SystemExit."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
 
 
 def structured(capsys, *argv):
@@ -236,6 +251,70 @@ class TestMalformedInput:
         assert code == 2
         assert captured.err.startswith("error: cannot write") and str(target) in captured.err
         assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bound", "--n", "3", "--signs", "1", "1", "x"),
+            ("bound", "--n", "3", "--signs", "+1", "+1", "+1.0"),
+            ("selftest", "--seed", "-1"),
+            ("scan", "--space", "temporal-times", "--param", "seed", "--min", "-1", "--max", "-1",
+             "--starts", "2"),
+        ],
+        ids=["sign-word", "sign-float", "selftest-seed", "scan-seed-range"],
+    )
+    def test_non_integer_sign_and_negative_seed_are_usage_errors(self, argv):
+        code, err = exit_code(argv)
+        assert code == 2
+        assert "error:" in err and "Traceback" not in err
+
+    def test_negative_signs_still_parse(self, capsys):
+        fields = structured(capsys, "bound", "--n", "3", "--signs", "-1", "+1", "1")
+        assert fields["signs"] == "-1 +1 +1"
+        assert fields["classical_bound"] == "-3"
+
+
+SIGN_TOKENS = ("1", "-1", "+1", "0", "2", "-2", "x", "+1.0", "1e0", "", "01", "1_0")
+SEED_TOKENS = st.one_of(
+    st.integers(-3, 2**70).map(str),
+    st.sampled_from(("x", "1.5", "-0", "+3", "", "1e3", "-inf")),
+)
+SEARCH_SPACES = ("temporal-times", "bloch-angles", "contextual-cone")
+
+
+@st.composite
+def bound_argv(draw):
+    # Mostly well-formed signs, and n mostly their count, so that some lists
+    # reach the bound instead of all ending in a usage error.
+    token = st.one_of(st.sampled_from(("1", "-1", "+1")), st.sampled_from(SIGN_TOKENS))
+    signs = draw(st.lists(token, min_size=3, max_size=6))
+    n = draw(st.one_of(st.just(len(signs)), st.integers(-2, 30)))
+    return ["bound", "--n", str(n), "--signs", *signs]
+
+
+@st.composite
+def seed_argv(draw):
+    command = draw(st.sampled_from((["bound", "--n", "5"], ["evaluate", "kcbs-temporal"], ["histories"])))
+    return [*command, "--seed", draw(SEED_TOKENS)]
+
+
+@st.composite
+def scan_argv(draw):
+    """A seed scan over at most two seeds with at most 4 starts."""
+    low = draw(st.integers(-3, 3))
+    high = low + draw(st.integers(-1, 1))
+    return ["scan", "--space", draw(st.sampled_from(SEARCH_SPACES)), "--param", "seed",
+            "--min", str(low), "--max", str(high), "--starts", str(draw(st.integers(-1, 4)))]
+
+
+class TestArgvFuzz:
+    @given(bound=bound_argv(), seed=seed_argv(), scan=scan_argv())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_every_argv_ends_in_a_documented_exit(self, bound, seed, scan):
+        for argv in (bound, seed, scan):
+            code, err = exit_code(argv)
+            assert code in (0, 2, 3), (argv, code, err)
+            assert "Traceback" not in err
 
 
 class TestHistories:

@@ -24,11 +24,11 @@ from qcycle.histories import (
 from qcycle.linalg import (
     SIGMA_X,
     SIGMA_Z,
+    Observable,
     dag,
     identity,
     max_abs,
     maximally_mixed,
-    observable_from_matrix,
     pure_state,
 )
 from qcycle.quantum import temporal_kcbs_protocol
@@ -38,7 +38,8 @@ LG_ANGLES = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
 
 
 def identity_slot(dim=2):
-    return identity(dim), np.zeros((dim, dim), dtype=complex)
+    """The trivial measurement I: P+ = I and P- = 0."""
+    return Observable(identity(dim))
 
 
 def interference(d, pattern) -> float:
@@ -69,17 +70,14 @@ class TestChainOperator:
     def test_single_projector_slot(self):
         p0 = np.diag([1.0, 0.0]).astype(complex)
         fam = HistoryFamily(
-            maximally_mixed(2), ((p0, identity(2) - p0), identity_slot(), identity_slot())
+            maximally_mixed(2), (Observable(2 * p0 - identity(2)), identity_slot(), identity_slot())
         )
         assert max_abs(chain_operator(fam, (1, 1, 1)) - p0) == 0.0
 
     def test_z_then_x_chain(self):
         # C = |+><+| |0><0| has squared-norm trace 1/4 on the mixed state.
-        z = observable_from_matrix(SIGMA_Z)
-        x = observable_from_matrix(SIGMA_X)
         fam = HistoryFamily(
-            maximally_mixed(2),
-            ((z.proj_plus, z.proj_minus), (x.proj_plus, x.proj_minus), identity_slot()),
+            maximally_mixed(2), (Observable(SIGMA_Z), Observable(SIGMA_X), identity_slot())
         )
         c = chain_operator(fam, (1, 1, 1))
         plus = np.array([1, 1]) / math.sqrt(2)
@@ -133,9 +131,8 @@ class TestHistoryProbability:
 
 class TestConsistency:
     def test_commuting_slots_are_consistent(self):
-        z = observable_from_matrix(SIGMA_Z)
-        slot = (z.proj_plus, z.proj_minus)
-        fam = HistoryFamily(maximally_mixed(2), (slot, slot, slot))
+        z = Observable(SIGMA_Z)
+        fam = HistoryFamily(maximally_mixed(2), (z, z, z))
         e, g = completions((None, 1, 1))
         assert decoherence_functional(fam)[e, g].real == pytest.approx(0.0, abs=1e-14)
 
@@ -160,9 +157,8 @@ class TestInterference:
             assert abs(interference(d, (k, l, None))) <= 1e-12
 
     def test_commuting_slots_have_no_interference(self):
-        z = observable_from_matrix(SIGMA_Z)
-        slot = (z.proj_plus, z.proj_minus)
-        d = decoherence_functional(HistoryFamily(pure_state([0.6, 0.8]), (slot, slot, slot)))
+        z = Observable(SIGMA_Z)
+        d = decoherence_functional(HistoryFamily(pure_state([0.6, 0.8]), (z, z, z)))
         for pattern in ((None, 1, 1), (1, None, 1), (None, 1, -1), (1, None, -1)):
             assert abs(interference(d, pattern)) <= 1e-12
 
@@ -271,11 +267,12 @@ class TestLgDecomposition:
         assert found > 20
 
     def test_validated_objects_per_call(self):
-        # One Observable per slot for the anticommutator route, no State,
-        # and the same again on a second call: nothing is cached.
+        # The anticommutator route reads the family's own observables, so a
+        # decomposition validates nothing; a family build makes one
+        # Observable per slot and its State, afresh on every call.
         fam = family_from_bloch_angles(LG_ANGLES)
         for _ in range(2):
-            assert count_constructions(lambda: lg_decomposition(fam)) == (3, 0)
+            assert count_constructions(lambda: lg_decomposition(fam)) == (0, 0)
             assert count_constructions(lambda: family_from_bloch_angles(LG_ANGLES)) == (3, 1)
 
     def test_optimizer_found_violation_has_interference(self):
@@ -301,8 +298,8 @@ class TestFamilyBuilders:
         fam = family_from_protocol(protocol)
         angles = tuple(2 * base.angular_rate * t for t in protocol.times)
         ref = family_from_bloch_angles(angles)
-        for slot in range(3):
-            assert max_abs(fam.observable(slot).matrix - ref.observable(slot).matrix) < 1e-12
+        for got, want in zip(fam.observables, ref.observables):
+            assert max_abs(got.matrix - want.matrix) < 1e-12
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_rejected(self, bad):
@@ -320,14 +317,20 @@ class TestFamilyBuilders:
         with pytest.raises(PreconditionError):
             fam.projector(0, bad)
 
-    def test_bad_projectors_rejected(self):
-        good = observable_from_matrix(SIGMA_Z)
-        with pytest.raises(PreconditionError):
-            HistoryFamily(
-                maximally_mixed(2),
-                (
-                    (good.proj_plus, good.proj_plus),  # not a resolution of I
-                    (good.proj_plus, good.proj_minus),
-                    (good.proj_plus, good.proj_minus),
-                ),
-            )
+    def test_slot_dimension_mismatch_rejected(self):
+        qubit, qutrit = Observable(SIGMA_Z), identity_slot(3)
+        with pytest.raises(PreconditionError, match="dimensions differ"):
+            HistoryFamily(maximally_mixed(2), (qubit, qutrit, qubit))
+        with pytest.raises(PreconditionError, match="dimensions differ"):
+            HistoryFamily(maximally_mixed(3), (qutrit, qutrit, qubit))
+
+    @pytest.mark.parametrize("count", [0, 2, 4])
+    def test_slot_count_other_than_three_rejected(self, count):
+        with pytest.raises(PreconditionError, match="exactly 3"):
+            HistoryFamily(maximally_mixed(2), (Observable(SIGMA_Z),) * count)
+
+    def test_projector_is_the_observables(self):
+        fam = family_from_bloch_angles(LG_ANGLES)
+        for slot, obs in enumerate(fam.observables):
+            assert fam.projector(slot, 1) is obs.proj_plus
+            assert fam.projector(slot, -1) is obs.proj_minus

@@ -27,12 +27,12 @@ from qcycle.linalg import (
     kron,
     max_abs,
     maximally_mixed,
-    observable_from_matrix,
     pure_state,
     real_trace,
     su2_rotation,
     trace,
 )
+from qcycle.quantum import pentagram_vectors
 
 
 def random_complex(rng, dim):
@@ -211,19 +211,48 @@ class TestPlumbing:
             as_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
+def assert_closed_form_projectors(m) -> None:
+    """Observable(m) derives exactly (I + m)/2 and (I - m)/2, byte for byte."""
+    m = np.asarray(m, dtype=complex)
+    obs = Observable(m)
+    eye = identity(m.shape[0])
+    assert obs.proj_plus.tobytes() == ((eye + m) / 2.0).tobytes()
+    assert obs.proj_minus.tobytes() == ((eye - m) / 2.0).tobytes()
+    assert not obs.proj_plus.flags.writeable and not obs.proj_minus.flags.writeable
+
+
 class TestObservableAndState:
     def test_projectors_of_z(self):
-        obs = observable_from_matrix(SIGMA_Z)
+        obs = Observable(SIGMA_Z)
         assert max_abs(obs.proj_plus - np.diag([1, 0])) == 0.0
         assert max_abs(obs.proj_minus - np.diag([0, 1])) == 0.0
 
     def test_square_root_of_identity_required(self):
         with pytest.raises(PreconditionError):
-            observable_from_matrix(2 * SIGMA_Z)
+            Observable(2 * SIGMA_Z)
 
-    def test_inconsistent_projectors_rejected(self):
-        with pytest.raises(PreconditionError):
-            Observable(SIGMA_Z, np.diag([1.0, 0]), np.diag([1.0, 0]))
+    def test_non_hermitian_rejected(self):
+        # Squares to I but is not Hermitian.
+        with pytest.raises(PreconditionError, match="not Hermitian"):
+            Observable(np.array([[1.0, 1.0], [0.0, -1.0]]))
+
+    def test_projectors_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            Observable(SIGMA_Z, np.diag([1.0, 0]), np.diag([0, 1.0]))
+
+    @pytest.mark.parametrize("m", [SIGMA_X, SIGMA_Y, SIGMA_Z], ids=["x", "y", "z"])
+    def test_pauli_projectors_are_the_closed_form(self, m):
+        assert_closed_form_projectors(m)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_bloch_projectors_are_the_closed_form(self, seed):
+        n = random_unit3(np.random.default_rng(seed))
+        assert_closed_form_projectors(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
+
+    def test_pentagram_projectors_are_the_closed_form(self):
+        for v in pentagram_vectors():
+            assert_closed_form_projectors(2.0 * np.outer(v, v) - identity(3))
 
     def test_state_validation(self):
         with pytest.raises(PreconditionError):

@@ -11,13 +11,12 @@ from qcycle.errors import PreconditionError
 from qcycle.linalg import (
     SIGMA_X,
     SIGMA_Z,
-    bloch_observable,
+    Observable,
     commutator_norm,
     identity,
     kron,
     max_abs,
     maximally_mixed,
-    observable_from_matrix,
     pure_state,
 )
 from qcycle.quantum import (
@@ -36,6 +35,7 @@ from qcycle.quantum import (
     temporal_correlations,
     temporal_kcbs_protocol,
     temporal_singles,
+    xz_observable,
 )
 from qcycle.scenario import (
     BipartiteConfig,
@@ -48,19 +48,15 @@ FIVE_CYCLE_OPTIMUM = -5.0 * math.cos(math.pi / 5.0)  # -4.045084971874737
 CONTEXTUAL_OPTIMUM = 5.0 - 4.0 * math.sqrt(5.0)  # -3.944271909999159
 
 
-def xz_observable(angle):
-    return bloch_observable((math.sin(angle), 0.0, math.cos(angle)))
-
-
 class TestCorrelationJoint:
     def test_self_correlation(self):
-        z = observable_from_matrix(SIGMA_Z)
+        z = Observable(SIGMA_Z)
         assert correlation_joint(maximally_mixed(2), z, z) == pytest.approx(1.0, abs=1e-12)
 
     def test_product_observables_on_00(self):
         rho = pure_state([1, 0, 0, 0])
-        za = observable_from_matrix(kron(SIGMA_Z, identity(2)))
-        zb = observable_from_matrix(kron(identity(2), SIGMA_Z))
+        za = Observable(kron(SIGMA_Z, identity(2)))
+        zb = Observable(kron(identity(2), SIGMA_Z))
         assert correlation_joint(rho, za, zb) == pytest.approx(1.0, abs=1e-12)
 
     def test_pentagram_term(self):
@@ -70,15 +66,15 @@ class TestCorrelationJoint:
         assert term == pytest.approx(CONTEXTUAL_OPTIMUM / 5.0, abs=1e-12)
 
     def test_non_commuting_rejected(self):
-        x = observable_from_matrix(SIGMA_X)
-        z = observable_from_matrix(SIGMA_Z)
+        x = Observable(SIGMA_X)
+        z = Observable(SIGMA_Z)
         with pytest.raises(PreconditionError):
             correlation_joint(maximally_mixed(2), x, z)
 
 
 class TestCorrelationSequential:
     def test_repeated_measurement(self):
-        z = observable_from_matrix(SIGMA_Z)
+        z = Observable(SIGMA_Z)
         value, table = correlation_sequential(maximally_mixed(2), z, z)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert table.p_first[1] == pytest.approx(0.5, abs=1e-12)
@@ -87,22 +83,22 @@ class TestCorrelationSequential:
     def test_adjacent_time_pair(self):
         # The Heisenberg partner of sigma_z one time step into the five-time
         # protocol sits at Bloch angle 4*pi/5.
-        z = observable_from_matrix(SIGMA_Z)
-        partner = observable_from_matrix(
+        z = Observable(SIGMA_Z)
+        partner = Observable(
             math.cos(4 * math.pi / 5) * SIGMA_Z - math.sin(4 * math.pi / 5) * SIGMA_X
         )
         value, _ = correlation_sequential(maximally_mixed(2), z, partner)
         assert value == pytest.approx(math.cos(4 * math.pi / 5), abs=1e-12)
 
     def test_orthogonal_axes_give_zero(self):
-        x = observable_from_matrix(SIGMA_X)
-        z = observable_from_matrix(SIGMA_Z)
+        x = Observable(SIGMA_X)
+        z = Observable(SIGMA_Z)
         value, table = correlation_sequential(pure_state([1, 0]), x, z)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert table.p_first[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_dead_branch_contributes_zero(self):
-        z = observable_from_matrix(SIGMA_Z)
+        z = Observable(SIGMA_Z)
         value, table = correlation_sequential(pure_state([1, 0]), z, z)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert table.p_first[-1] == 0.0
@@ -149,7 +145,7 @@ class TestAnticommutatorCorrelation:
     @given(phi=st.floats(0, 2 * math.pi))
     @settings(max_examples=60, deadline=None)
     def test_rotated_pair_gives_cosine(self, phi):
-        z = observable_from_matrix(SIGMA_Z)
+        z = Observable(SIGMA_Z)
         rotated = xz_observable(phi)
         value = anticommutator_correlation(maximally_mixed(2), z, rotated)
         assert value == pytest.approx(math.cos(phi), abs=1e-12)
@@ -161,15 +157,15 @@ class TestNonInvasiveness:
         for i in range(5):
             p = repeat_agreement_probability(state, obs[i], obs[(i + 1) % 5])
             assert p == pytest.approx(1.0, abs=1e-10)
-        za = observable_from_matrix(kron(SIGMA_Z, identity(2)))
-        zb = observable_from_matrix(kron(identity(2), SIGMA_Z))
+        za = Observable(kron(SIGMA_Z, identity(2)))
+        zb = Observable(kron(identity(2), SIGMA_Z))
         assert repeat_agreement_probability(
             pure_state([1, 0, 0, 0]), za, zb
         ) == pytest.approx(1.0, abs=1e-12)
 
     def test_non_commuting_pair_disturbs(self):
-        x = observable_from_matrix(SIGMA_X)
-        z = observable_from_matrix(SIGMA_Z)
+        x = Observable(SIGMA_X)
+        z = Observable(SIGMA_Z)
         assert repeat_agreement_probability(maximally_mixed(2), z, x) < 1.0 - 1e-3
 
 
@@ -228,7 +224,7 @@ class TestTemporalProtocol:
                 (0, 1, 0),
                 1.0,
                 (0.0, 0.5, 0.5),
-                observable_from_matrix(SIGMA_Z),
+                Observable(SIGMA_Z),
             )
 
 
@@ -289,8 +285,8 @@ class TestSpatialConfiguration:
         state = spatial_kcbs_configuration().state
         cfg = BipartiteConfig(
             state,
-            (observable_from_matrix(SIGMA_Z),),
-            (observable_from_matrix(SIGMA_X),),
+            (Observable(SIGMA_Z),),
+            (Observable(SIGMA_X),),
             ((0, 0, 1),),
         )
         assert correlation_spatial(cfg, 0, 0) == pytest.approx(0.0, abs=1e-12)
