@@ -132,6 +132,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen_matrix(m) -> np.ndarray:
+    """``as_matrix(m)`` made read-only without touching the caller's array.
+
+    ``as_matrix`` hands back the caller's own ndarray (or a view of it) when
+    it is already complex; that one is copied, so freezing never reaches the
+    caller and the caller keeps no writable way into the frozen matrix.
+    """
+    a = as_matrix(m)
+    if a is m or a.base is not None:
+        a = a.copy()
+    return _freeze(a)
+
+
 @dataclass(frozen=True)
 class Observable:
     """A Hermitian observable with m^2 = I and its spectral projectors.
@@ -146,7 +159,7 @@ class Observable:
     proj_minus: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        m = _freeze(as_matrix(self.matrix))
+        m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if not is_hermitian(m, HERMITIAN_TOL):
             raise PreconditionError("observable matrix is not Hermitian")
@@ -181,7 +194,7 @@ class State:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _freeze(as_matrix(self.matrix))
+        m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         if not is_hermitian(m, HERMITIAN_TOL):
             raise PreconditionError("state is not Hermitian")

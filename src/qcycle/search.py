@@ -30,6 +30,21 @@ three trial points of every active start (3*S rows), one more the starts
 that shrink. Each start picks its move by masks and freezes on its own
 convergence test, so it takes exactly the steps it would take alone. The
 best result wins, ties going to the lowest start index: a seed pins it.
+
+Per iteration the loop makes a fixed, small number of numpy calls, whatever
+S is: one argsort of the (S, dim+1) values, then one flat ``take`` each for
+the sorted values and vertices (precomputed row offsets turn the per-row
+order into flat indices); the convergence test on the value spread, with the
+simplex size measured only for the starts that pass it; the centroid as
+sequential adds over the sorted head (the adds np.add.reduce makes over that
+axis); the three trials as centroid + k * (centroid - worst); the one
+evaluator call; the move masks, whose sum is the chosen trial's row; and one
+flat ``take`` each for that trial point and value. Only starts that
+converge or shrink pay for index arrays. The evaluators work in place in
+one or two buffers; the cone builds its vectors component-major, so each
+ufunc runs on contiguous rows. Every floating-point operation is the one the
+straightforward expression makes, so trajectories are bit-identical to it.
+``SEARCH_START_CAP`` bounds starts x seeds per call.
 """
 
 from __future__ import annotations
@@ -37,11 +52,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ResourceLimitError
 from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron, su2_rotation, trace
 from .quantum import build, spatial_kcbs_configuration, temporal_kcbs_protocol
 from .scenario import (
@@ -53,6 +68,12 @@ from .scenario import (
 )
 
 SPACE_KINDS = ("temporal-times", "bloch-angles", "contextual-cone")
+
+# Most start runs (starts x seeds) one minimize_lhs or scan_seeds call may ask
+# for. At 65 536 starts a single bloch-angles run, the slowest space, took
+# 23.5 s (0.36 ms a start) and peaked at 144 MB on a 2-core host; larger
+# requests end in ResourceLimitError before anything is allocated.
+SEARCH_START_CAP = 65_536
 
 Evaluator = Callable[[np.ndarray], np.ndarray]
 
@@ -96,7 +117,7 @@ class _Constants(NamedTuple):
     temporal_rate: float
     temporal_offset: float
     temporal_amplitude: float
-    phi_plus_xz: np.ndarray
+    phi_plus_xz: tuple[float, float, float, float]  # T_xx, T_xz, T_zx, T_zz
 
 
 @lru_cache(maxsize=1)
@@ -128,8 +149,7 @@ def _constants() -> _Constants:
     m0 = 0.5 * trace(measured).real
     rho = spatial_kcbs_configuration().state.matrix
     xz = (SIGMA_X, SIGMA_Z)
-    tensor = np.array([[trace(rho @ kron(a, b)).real for b in xz] for a in xz])
-    tensor.flags.writeable = False
+    tensor = tuple(float(trace(rho @ kron(a, b)).real) for a in xz for b in xz)
     return _Constants(
         2.0 * protocol.angular_rate, m0 * m0 + float(par @ par), float(perp @ perp), tensor
     )
@@ -145,8 +165,10 @@ def _next(n: int, k: int = 1) -> np.ndarray:
 
 def _batch(params) -> np.ndarray:
     """(B, dim) float array; a 1-D point is a batch of one."""
-    x = np.atleast_2d(np.asarray(params, dtype=float))
-    if x.ndim != 2:
+    x = np.asarray(params, dtype=float)
+    if x.ndim < 2:
+        x = x.reshape(1, -1)  # np.atleast_2d's rule, without its Python wrapper
+    elif x.ndim != 2:
         raise PreconditionError("parameters must be one point or a (B, dim) batch")
     return x
 
@@ -159,8 +181,14 @@ def temporal_times_evaluator(params) -> np.ndarray:
     """
     times = _batch(params)
     k = _constants()
-    gaps = times[:, _next(times.shape[1])] - times
-    return k.temporal_offset + k.temporal_amplitude * np.cos(k.temporal_rate * gaps)
+    # offset + amplitude * cos(rate * gaps), one buffer updated in place.
+    c = times.take(_next(times.shape[1]), axis=1)
+    c -= times
+    c *= k.temporal_rate
+    np.cos(c, out=c)
+    c *= k.temporal_amplitude
+    c += k.temporal_offset
+    return c
 
 
 def bloch_angles_evaluator(params) -> np.ndarray:
@@ -171,10 +199,23 @@ def bloch_angles_evaluator(params) -> np.ndarray:
     constraint of the doubled-measurement scenario.
     """
     angles = _batch(params)
-    t = _constants().phi_plus_xz
+    t_ss, t_sc, t_cs, t_cc = _constants().phi_plus_xz
     s, c = np.sin(angles), np.cos(angles)
-    s_next, c_next = s[:, _next(angles.shape[1])], c[:, _next(angles.shape[1])]
-    return t[0, 0] * s * s_next + t[0, 1] * s * c_next + t[1, 0] * c * s_next + t[1, 1] * c * c_next
+    following = _next(angles.shape[1])
+    s_next, c_next = s.take(following, axis=1), c.take(following, axis=1)
+    # t_ss*s*s_next + t_sc*s*c_next + t_cs*c*s_next + t_cc*c*c_next, left to right.
+    out = t_ss * s
+    out *= s_next
+    term = np.multiply(t_sc, s)
+    term *= c_next
+    out += term
+    np.multiply(t_cs, c, out=term)
+    term *= s_next
+    out += term
+    np.multiply(t_cc, c, out=term)
+    term *= c_next
+    out += term
+    return out
 
 
 def contextual_cone_vectors(cone_half_angles) -> np.ndarray:
@@ -184,30 +225,65 @@ def contextual_cone_vectors(cone_half_angles) -> np.ndarray:
     consecutive vectors orthogonal; the fifth is the unit vector orthogonal
     to both the fourth and the first, closing the cycle exactly.
     """
-    theta = np.clip(np.atleast_1d(np.asarray(cone_half_angles, dtype=float)),
-                    math.pi / 4.0, 3.0 * math.pi / 4.0)
+    theta = np.atleast_1d(np.asarray(cone_half_angles, dtype=float))
+    return np.ascontiguousarray(_cone_components(theta).transpose(2, 1, 0))
+
+
+_LATER_TURNS = np.arange(1.0, 4.0)[:, None]  # azimuth multiples of the step for vectors 1..3
+_LATER_TURNS.flags.writeable = False
+
+
+def _cone_components(theta: np.ndarray) -> np.ndarray:
+    """(3, 5, B) x, y and z components of the cone cycles of 1-D half-angles ``theta``.
+
+    Component-major, so every ufunc below runs on contiguous rows. Vector 0
+    sits at azimuth 0, where cos and sin are exactly 1 and 0, so its
+    components are s and s * 0.0 without the trigonometric calls.
+    """
+    # min(max(.)) is np.clip's own rule, without its Python wrapper.
+    theta = np.minimum(np.maximum(theta, math.pi / 4.0), 3.0 * math.pi / 4.0)
     c, s = np.cos(theta), np.sin(theta)
-    step = np.arccos(np.clip(-(c * c) / (s * s), -1.0, 1.0))
-    azimuth = np.arange(4) * step[:, None]
-    vs = np.empty((theta.size, 5, 3))
-    vs[:, :4, 0] = s[:, None] * np.cos(azimuth)
-    vs[:, :4, 1] = s[:, None] * np.sin(azimuth)
-    vs[:, :4, 2] = c[:, None]
-    cross = _cross(vs[:, 3], vs[:, 0])
-    norm = np.sqrt(np.add.reduce(cross * cross, axis=1))
-    degenerate = norm < 1e-12
-    if degenerate.any():
+    step = np.arccos(np.minimum(np.maximum(-(c * c) / (s * s), -1.0), 1.0))
+    azimuth = _LATER_TURNS * step
+    components = np.empty((3, 5, theta.size))
+    x, y, z = components
+    x[0] = s
+    np.multiply(s, 0.0, out=y[0])
+    np.multiply(s, np.cos(azimuth), out=x[1:4])
+    np.multiply(s, np.sin(azimuth, out=azimuth), out=y[1:4])
+    z[:4] = c
+    closing = components[:, 4]
+    _cross(components[:, 3], components[:, 0], closing)
+    norm = _norm(closing)
+    degenerate = np.flatnonzero(norm < 1e-12)
+    if degenerate.size:
         # v3 parallel to v0: any unit vector orthogonal to v0 closes the cycle.
-        seed = np.where(np.abs(vs[degenerate, :1, 0]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
-        cross[degenerate] = _cross(vs[degenerate, 0], seed)
-        norm = np.sqrt(np.add.reduce(cross * cross, axis=1))
-    vs[:, 4] = cross / norm[:, None]
-    return vs
+        first = components[:, 0, degenerate]
+        seed = np.where(np.abs(first[0]) > 0.9, [[0.0], [1.0], [0.0]], [[1.0], [0.0], [0.0]])
+        closing[:, degenerate] = _cross(first, seed, np.empty(first.shape))
+        norm = _norm(closing)
+    closing /= norm
+    return components
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise a x b of (B, 3) arrays, each component's products in np.cross's order."""
-    return a[:, _next(3)] * b[:, _next(3, 2)] - a[:, _next(3, 2)] * b[:, _next(3)]
+def _cross(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a x b of (3, B) component-major arrays, each component's products in np.cross's order."""
+    (ax, ay, az), (bx, by, bz) = a, b
+    np.multiply(ay, bz, out=out[0])
+    out[0] -= az * by
+    np.multiply(az, bx, out=out[1])
+    out[1] -= ax * bz
+    np.multiply(ax, by, out=out[2])
+    out[2] -= ay * bx
+    return out
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """(B,) Euclidean norms of (3, B) component-major vectors: sqrt((x*x + y*y) + z*z)."""
+    squares = v * v
+    total = squares[0] + squares[1]
+    total += squares[2]
+    return np.sqrt(total, out=total)
 
 
 def contextual_cone_evaluator(params) -> np.ndarray:
@@ -217,10 +293,15 @@ def contextual_cone_evaluator(params) -> np.ndarray:
     correlator reduces to 1 - 2<v_i|rho|v_i> - 2<v_j|rho|v_j>.
     """
     x = _batch(params)
-    vs = contextual_cone_vectors(x[:, 0])
-    state_angle = x[:, 1:2]
-    weights = (vs[:, :, 0] * np.sin(state_angle) + vs[:, :, 2] * np.cos(state_angle)) ** 2
-    return 1.0 - 2.0 * weights - 2.0 * weights[:, _next(5)]
+    vx, _, vz = _cone_components(x[:, 0])
+    state_angle = x[:, 1]
+    weights = vx * np.sin(state_angle)
+    weights += vz * np.cos(state_angle)
+    np.square(weights, out=weights)
+    weights *= 2.0  # each doubled weight formed once, for i and for i - 1
+    out = 1.0 - weights
+    out -= weights.take(_next(5), axis=0)
+    return out.T.copy()
 
 
 def default_space_and_evaluator(kind: str, n: int = 5) -> tuple[SearchSpace, Evaluator]:
@@ -257,7 +338,10 @@ def nelder_mead(
     points[:, 1:, :] += np.diag(initial_step)
     values = f(points.reshape(-1, dim)).reshape(starts, dim + 1)
     out_points, out_values = np.empty((starts, dim)), np.empty(starts)
-    ids = rows = np.arange(starts)
+    ids = np.arange(starts)
+    # Flat offsets of each active start's first vertex and first trial row:
+    # the first S entries serve S active starts, since frozen ones are dropped.
+    vertex_offsets, trial_offsets = (ids * (dim + 1))[:, None], ids * 3
     moves = np.array([1.0, 2.0, -0.5])[:, None]  # reflect, expand, contract
 
     def freeze(mask):
@@ -266,33 +350,48 @@ def nelder_mead(
 
     for _ in range(max_iter):
         order = np.argsort(values, axis=1, kind="stable")
-        points, values = points[rows[:, None], order], values[rows[:, None], order]
+        order += vertex_offsets[: ids.size]
+        values, points = values.take(order), points.reshape(-1, dim).take(order, axis=0)
         done = values[:, -1] - values[:, 0] <= f_tol
-        if done.any():
-            done[done] = np.max(np.abs(points[done, 1:] - points[done, :1]), axis=(1, 2)) <= x_tol
-            if done.any():
+        if np.count_nonzero(done):
+            near = np.flatnonzero(done)
+            simplex = points[near]
+            size = np.abs(simplex[:, 1:] - simplex[:, :1]).reshape(near.size, -1).max(axis=1)
+            done[near] = size <= x_tol
+            if np.count_nonzero(done):
                 freeze(done)
                 keep = ~done
                 ids, points, values = ids[keep], points[keep], values[keep]
-                rows = rows[: ids.size]
                 if not ids.size:
                     break
-        centroid = np.add.reduce(points[:, :-1], axis=1) / dim
-        trials = centroid[:, None] + moves * (centroid - points[:, -1])[:, None]
-        ft = f(trials.reshape(-1, dim)).reshape(-1, 3)
-        fr, fe, fc = ft.T
+        # Vertex by vertex: the same sequential adds as np.add.reduce over axis 1.
+        centroid = points[:, 0] + points[:, 1] if dim > 1 else points[:, 0].copy()
+        for k in range(2, dim):
+            centroid += points[:, k]
+        centroid /= dim
+        trials = moves * (centroid - points[:, -1])[:, None]
+        trials += centroid[:, None]
+        trials = trials.reshape(-1, dim)
+        ft = f(trials).reshape(-1)
+        fr, fe, fc = ft[0::3], ft[1::3], ft[2::3]
         expand = fr < values[:, 0]
-        contract = ~expand & ~(fr < values[:, -2])
-        choice = np.where(expand & (fe < fr), 1, 2 * contract)
+        contract = ~(expand | (fr < values[:, -2]))
         shrink = contract & ~(fc < values[:, -1])
-        worst, f_worst = trials[rows, choice], ft[rows, choice]
-        if shrink.any():
-            best = points[shrink, :1]
-            shrunk = best + 0.5 * (points[shrink, 1:] - best)
-            points[shrink, 1:] = shrunk
-            values[shrink, 1:] = f(shrunk.reshape(-1, dim)).reshape(-1, dim)
+        # Row of the chosen trial: reflection 0, expansion 1, contraction 2.
+        pick = (expand & (fe < fr)) + 2 * contract
+        pick += trial_offsets[: ids.size]
+        worst, f_worst = trials.take(pick, axis=0), ft.take(pick)
+        if np.count_nonzero(shrink):
+            shrinking = np.flatnonzero(shrink)
+            simplex = points[shrinking]
+            best = simplex[:, :1]
+            shrunk = simplex[:, 1:] - best  # best + 0.5 * (vertex - best)
+            shrunk *= 0.5
+            shrunk += best
+            f_shrunk = f(shrunk.reshape(-1, dim)).reshape(-1, dim)
+            points[shrinking, 1:], values[shrinking, 1:] = shrunk, f_shrunk
             # A shrinking start keeps its shrunk worst vertex, not the contraction.
-            worst[shrink], f_worst[shrink] = points[shrink, -1], values[shrink, -1]
+            worst[shrinking], f_worst[shrinking] = shrunk[:, -1], f_shrunk[:, -1]
         points[:, -1], values[:, -1] = worst, f_worst
     freeze(np.ones(ids.size, bool))
     return out_points, out_values
@@ -329,12 +428,15 @@ def minimize_lhs(
     All starts are drawn uniformly over the box from ``seed`` and run in
     lockstep; the result never exceeds the best seed evaluation (each seed is
     a vertex of its simplex, and Nelder-Mead never drops a best vertex), ties
-    go to the lowest start index, and a seed fixes the result exactly.
+    go to the lowest start index, and a seed fixes the result exactly. More
+    than ``SEARCH_START_CAP`` starts raise ResourceLimitError before any is
+    drawn.
     """
     if starts < 1:
         raise PreconditionError("need at least one start")
     if seed < 0:
         raise PreconditionError(f"seeds are non-negative integers, got {seed}")
+    check_start_cap(starts)
     objective = lhs_objective(scenario, evaluator)
     rng = np.random.default_rng(seed)
     lows, highs = np.array(space.bounds).T
@@ -357,8 +459,27 @@ def scan_chained(n_min: int, n_max: int):
     return rows
 
 
-def scan_seeds(kind: str, seeds, *, n: int = 5, starts: int = 64):
-    """Rows (seed, best value, classical bound) of repeated optimizer runs."""
+def check_start_cap(starts: int, seeds: int = 1) -> None:
+    """Raise ResourceLimitError when starts x seeds exceeds ``SEARCH_START_CAP``."""
+    if starts * seeds > SEARCH_START_CAP:
+        raise ResourceLimitError(
+            f"optimizer capped at starts x seeds <= {SEARCH_START_CAP}, got {starts} x {seeds}"
+        )
+
+
+def _seed_count(seeds: Sequence[int]) -> int:
+    """``len(seeds)``, also for a range of 2**63 or more seeds, where ``len`` overflows."""
+    if isinstance(seeds, range):
+        return max(0, -((seeds.start - seeds.stop) // seeds.step))
+    return len(seeds)
+
+
+def scan_seeds(kind: str, seeds: Sequence[int], *, n: int = 5, starts: int = 64):
+    """Rows (seed, best value, classical bound) of repeated optimizer runs.
+
+    The start cap is checked for all seeds together before anything is built.
+    """
+    check_start_cap(starts, _seed_count(seeds))
     space, evaluator = default_space_and_evaluator(kind, n)
     scenario = canonical_scenario(5 if kind == "contextual-cone" else n)
     bound = classical_bound(scenario)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from qcycle.cli import main
 from qcycle.report import parse_structured
 from qcycle.scenario import ScenarioFile, canonical_scenario, save_scenario
+from qcycle.search import SEARCH_START_CAP
 
 
 def run_cli(capsys, *argv):
@@ -268,6 +269,21 @@ class TestMalformedInput:
         assert code == 2
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "low, high, starts",
+        [(0, 0, 10**12), (0, 10**6, 1), (0, 2**63 - 1, 64), (0, 255, 257)],
+        ids=["huge-starts", "huge-seed-range", "seed-range-past-len", "just-over-the-cap"],
+    )
+    def test_start_runs_over_the_cap_end_in_exit_3(self, low, high, starts):
+        # The cap is checked before the rng draws a single start: without
+        # it, 10^12 starts died allocating 36 TiB with a traceback.
+        started = time.perf_counter()
+        code, err = exit_code(("scan", "--space", "temporal-times", "--param", "seed",
+                               "--min", str(low), "--max", str(high), "--starts", str(starts)))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert err.startswith("resource limit:") and "Traceback" not in err
+
     def test_negative_signs_still_parse(self, capsys):
         fields = structured(capsys, "bound", "--n", "3", "--signs", "-1", "+1", "1")
         assert fields["signs"] == "-1 +1 +1"
@@ -298,13 +314,24 @@ def seed_argv(draw):
     return [*command, "--seed", draw(SEED_TOKENS)]
 
 
+# Mostly runnable start counts; the rest end in the start cap (exit 3) or a
+# usage error (exit 2) before a start is drawn.
+STARTS_TOKENS = st.one_of(
+    st.integers(-1, 4).map(str),
+    st.integers(SEARCH_START_CAP + 1, 2**70).map(str),
+    st.sampled_from(("x", "1.5", "", "1e3", "-0")),
+)
+
+
 @st.composite
 def scan_argv(draw):
-    """A seed scan over at most two seeds with at most 4 starts."""
+    """A seed scan over at most two seeds with at most 4 starts, or a request
+    that the start cap or the parser must refuse: a huge --starts or a seed
+    range far wider than the cap."""
     low = draw(st.integers(-3, 3))
-    high = low + draw(st.integers(-1, 1))
+    high = low + draw(st.one_of(st.integers(-1, 1), st.integers(SEARCH_START_CAP, 2**70)))
     return ["scan", "--space", draw(st.sampled_from(SEARCH_SPACES)), "--param", "seed",
-            "--min", str(low), "--max", str(high), "--starts", str(draw(st.integers(-1, 4)))]
+            "--min", str(low), "--max", str(high), "--starts", draw(STARTS_TOKENS)]
 
 
 class TestArgvFuzz:

@@ -278,6 +278,38 @@ class TestObservableAndState:
         w = ket / np.linalg.norm(ket)
         assert pure_state(v).matrix.tobytes() == np.outer(w, w.conj()).tobytes()
 
+    @pytest.mark.parametrize("cls, m", [(Observable, SIGMA_Z), (State, np.diag([0.75, 0.25]))],
+                             ids=["observable", "state"])
+    def test_input_array_stays_writable_and_unchanged(self, cls, m):
+        a = np.array(m, dtype=complex)
+        before = a.copy()
+        obj = cls(a)
+        assert a.flags.writeable
+        assert a.tobytes() == before.tobytes()
+        assert not obj.matrix.flags.writeable
+        assert not np.shares_memory(obj.matrix, a)
+        a[0, 0] = 7.0
+        assert obj.matrix.tobytes() == before.tobytes()
+
+    def test_module_constants_stay_writable(self):
+        for m in (SIGMA_X, SIGMA_Y, SIGMA_Z, I2):
+            Observable(m)
+            assert m.flags.writeable
+        State(I2 / 2.0)
+        assert I2.flags.writeable
+
+    @pytest.mark.parametrize("cls, m", [(Observable, SIGMA_X), (State, np.diag([0.5, 0.5]))],
+                             ids=["observable", "state"])
+    def test_frozen_matrix_cannot_change_through_a_views_base(self, cls, m):
+        base = np.zeros((3, 3), dtype=complex)
+        base[:2, :2] = m
+        view = base[:2, :2]
+        obj = cls(view)
+        assert view.flags.writeable and base.flags.writeable
+        base[:2, :2] = 9.0
+        assert obj.matrix.tobytes() == np.asarray(m, dtype=complex).tobytes()
+        assert obj.matrix.base is None or not obj.matrix.base.flags.writeable
+
     @given(seed=st.integers(0, 10_000), dim=st.integers(2, 4))
     @settings(max_examples=40, deadline=None)
     def test_random_states_accepted(self, seed, dim):

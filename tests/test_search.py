@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from qcycle.errors import PreconditionError
+from qcycle import search
+from qcycle.errors import PreconditionError, ResourceLimitError
 from qcycle.quantum import build
 from qcycle.scenario import canonical_scenario, inequality_lhs
 from qcycle.search import (
+    SEARCH_START_CAP,
     SPACE_KINDS,
     SearchSpace,
+    check_start_cap,
     contextual_cone_evaluator,
     contextual_cone_vectors,
     default_space_and_evaluator,
@@ -350,6 +353,19 @@ class TestMinimizeLhs:
         assert abs(contextual - CONTEXTUAL_OPTIMUM) < 1e-4
         assert temporal < contextual < -3.0
 
+    def test_starts_over_the_cap_rejected_before_drawing(self, monkeypatch):
+        # 10^12 starts would ask the rng for 36 TiB; the cap must refuse
+        # them before the rng or the simplex is reached.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("allocated past the start cap")
+
+        monkeypatch.setattr(search.np.random, "default_rng", unreachable)
+        monkeypatch.setattr(search, "nelder_mead", unreachable)
+        space, evaluator = default_space_and_evaluator("temporal-times")
+        for starts in (SEARCH_START_CAP + 1, 10**12):
+            with pytest.raises(ResourceLimitError, match="starts x seeds"):
+                minimize_lhs(space, canonical_scenario(5), evaluator, starts=starts)
+
     def test_mismatched_scenario_rejected(self):
         space = temporal_times_space(5)
         with pytest.raises(PreconditionError):
@@ -363,6 +379,26 @@ class TestScans:
         for n, lhs, bound in rows:
             assert lhs == pytest.approx(n * math.cos(math.pi * (n - 1) / n), abs=1e-9)
             assert bound == -n + 2
+
+    def test_cap_counts_starts_times_seeds(self):
+        check_start_cap(SEARCH_START_CAP)
+        check_start_cap(256, 256)
+        for starts, seeds in ((SEARCH_START_CAP + 1, 1), (256, 257), (1, SEARCH_START_CAP + 1)):
+            with pytest.raises(ResourceLimitError):
+                check_start_cap(starts, seeds)
+
+    def test_seed_scan_checks_the_cap_before_building(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("built past the start cap")
+
+        monkeypatch.setattr(search, "default_space_and_evaluator", unreachable)
+        monkeypatch.setattr(search, "minimize_lhs", unreachable)
+        with pytest.raises(ResourceLimitError):
+            scan_seeds("temporal-times", range(10**9), starts=1)
+        with pytest.raises(ResourceLimitError):
+            scan_seeds("temporal-times", range(2**63), starts=1)
+        with pytest.raises(ResourceLimitError):
+            scan_seeds("bloch-angles", range(1), starts=10**12)
 
     def test_seed_rows(self):
         rows = scan_seeds("contextual-cone", range(2), starts=16)
