@@ -1,9 +1,9 @@
 """Command-line interface.
 
-Subcommands: ``evaluate``, ``bound``, ``feasibility``, ``histories``,
-``scan``, ``selftest``. Every subcommand accepts ``--format text|structured``,
-``--seed`` and ``--out PATH``; relative output paths resolve against
-``QCYCLE_OUT_DIR`` when that variable is set.
+Subcommands: ``evaluate``, ``bound``, ``feasibility``, ``histories`` and
+``scan``. Every subcommand accepts ``--format text|structured`` and
+``--out PATH``; relative output paths resolve against ``QCYCLE_OUT_DIR`` when
+that variable is set.
 
 Exit codes: 0 success, 2 usage error (an output path that cannot be written
 included), 3 resource cap exceeded, 4 internal verification failure.
@@ -36,7 +36,8 @@ from .scenario import (
     classical_bound,
     load_scenario,
 )
-from .search import minimize_lhs, default_space_and_evaluator, scan_chained, scan_seeds
+# minimize_lhs is not called here; perfbench/tracing.py patches qcycle.cli.minimize_lhs.
+from .search import minimize_lhs, scan_chained, scan_seeds
 
 USAGE_ERROR = 2
 RESOURCE_ERROR = 3
@@ -82,7 +83,6 @@ def cmd_evaluate(args) -> int:
     bound = classical_bound(result.scenario)
     report = RunReport("evaluate", args.argv)
     report.add("tool_version", __version__)
-    report.add("seed", args.seed)
     report.add("builder", result.name)
     _scenario_fields(report, result.scenario)
     report.add("correlators", result.correlations.values)
@@ -111,12 +111,13 @@ def cmd_bound(args) -> int:
         if args.signs:
             scenario = CycleScenario(args.n, tuple(args.signs))
         else:
+            # Checked before the n signs are built, so a huge --n ends fast.
+            check_enumeration_cap(args.n)
             scenario = canonical_scenario(args.n)
         source = "command line"
     bound = classical_bound(scenario)
     report = RunReport("bound", args.argv)
     report.add("tool_version", __version__)
-    report.add("seed", args.seed)
     report.add("source", source)
     _scenario_fields(report, scenario)
     report.add("classical_bound", bound)
@@ -129,9 +130,10 @@ def _marginals_for(args):
     """MarginalSet plus provenance fields from a builder name or file.
 
     An input that ``builder_cycle_length`` accepts is a builder name; any
-    other input is a scenario file path.
+    other input is a scenario file path. A file that names a builder scores
+    the builder's correlators under the file's own signs.
     """
-    builder = args.input
+    builder, scenario = args.input, None
     try:
         n = builder_cycle_length(builder)
     except PreconditionError:
@@ -146,11 +148,18 @@ def _marginals_for(args):
             return correlators_to_marginals(corr, doc.singles), corr, f"file:{args.input}"
         if doc.builder is None:
             raise PreconditionError("scenario file needs correlators or a builder")
-        builder = doc.builder
+        builder, scenario = doc.builder, doc.scenario
         n = builder_cycle_length(builder)
+        if n != scenario.n:
+            raise PreconditionError(
+                f"scenario file has n = {scenario.n}, but builder {builder!r} has cycle length {n}"
+            )
     check_lp_cap(n)
     result = build(builder)
-    return correlators_to_marginals(result.correlations, result.singles), result.correlations, result.name
+    corr = result.correlations
+    if scenario is not None:
+        corr = CorrelationVector(scenario, corr.values)
+    return correlators_to_marginals(corr, result.singles), corr, result.name
 
 
 def cmd_feasibility(args) -> int:
@@ -161,7 +170,6 @@ def cmd_feasibility(args) -> int:
     bound = classical_bound(corr.scenario)
     report = RunReport("feasibility", args.argv)
     report.add("tool_version", __version__)
-    report.add("seed", args.seed)
     report.add("input", name)
     _scenario_fields(report, corr.scenario)
     report.add("correlators", corr.values)
@@ -190,7 +198,6 @@ def cmd_histories(args) -> int:
     dec = lg_decomposition(family)
     report = RunReport("histories", args.argv)
     report.add("tool_version", __version__)
-    report.add("seed", args.seed)
     report.add("bloch_angles", angles)
     for outcomes, value in dec.probabilities.items():
         report.add(f"p_{_label(outcomes)}", value)
@@ -242,122 +249,6 @@ def cmd_scan(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    failures = 0
-    lines: list[str] = []
-    last = time.perf_counter()
-
-    def check(name: str, ok: bool, detail: str = "") -> None:
-        # Elapsed time is the work since the previous check.
-        nonlocal failures, last
-        now = time.perf_counter()
-        line = f"{'ok' if ok else 'FAIL'}: {name}"
-        if detail:
-            line += f" ({detail})"
-        line += f" [{(now - last) * 1e3:.1f} ms]"
-        last = now
-        lines.append(line)
-        sys.stdout.write(line + "\n")
-        failures += 0 if ok else 1
-
-    rng = np.random.default_rng(args.seed)
-
-    from . import histories as hist
-    from . import linalg as la
-    from . import quantum as qm
-    from .scenario import inequality_lhs
-
-    # Rotation convention.
-    theta = 0.37
-    r = la.su2_rotation((0.0, 1.0, 0.0), theta)
-    target = math.cos(2 * theta) * la.SIGMA_Z + math.sin(2 * theta) * la.SIGMA_X
-    check("rotation convention", la.max_abs(la.dag(r) @ la.SIGMA_Z @ r - target) < 1e-12)
-
-    # Builder optima against closed forms.
-    for name, target_value in (
-        ("kcbs-temporal", -5.0 * math.cos(math.pi / 5.0)),
-        ("kcbs-contextual", 5.0 - 4.0 * math.sqrt(5.0)),
-        ("kcbs-spatial", -5.0 * math.cos(math.pi / 5.0)),
-        ("chained-4", 4.0 * math.cos(3.0 * math.pi / 4.0)),
-    ):
-        result = build(name)
-        lhs = inequality_lhs(result.correlations)
-        check(f"builder {name}", abs(lhs - target_value) < 1e-9, f"lhs={lhs:.9f}")
-
-    # Sequential correlator equals the symmetrized trace formula.
-    worst = 0.0
-    for _ in range(100):
-        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-        rho = la.pure_state(vec)
-        x = la.bloch_observable(_random_unit(rng))
-        y = la.bloch_observable(_random_unit(rng))
-        seq, _ = qm.correlation_sequential(rho, x, y)
-        worst = max(worst, abs(seq - qm.anticommutator_correlation(rho, x, y)))
-    check("sequential vs symmetrized", worst < 1e-10, f"max diff {worst:.2e}")
-
-    # Feasibility verdicts on the anchor cases.
-    temporal = build("kcbs-temporal")
-    m = correlators_to_marginals(temporal.correlations, temporal.singles)
-    check("temporal marginals infeasible", not jpd_feasible(m).feasible)
-    boundary = correlators_to_marginals(
-        CorrelationVector(canonical_scenario(5), (-0.6,) * 5)
-    )
-    witness = jpd_feasible(boundary)
-    check(
-        "boundary marginals feasible",
-        witness.feasible and witness.max_constraint_residual <= 1e-7,
-    )
-
-    # Histories identities on random families. FULL_HISTORIES lists
-    # (k, l, +1) at index 2j and (k, l, -1) at 2j + 1, so the last-slot
-    # interference terms are 2 Re D[2j, 2j + 1].
-    worst_total = worst_last = 0.0
-    for _ in range(100):
-        d = hist.decoherence_functional(
-            hist.family_from_bloch_angles(rng.uniform(0, 2 * math.pi, size=3))
-        )
-        worst_total = max(worst_total, abs(d.trace().real - 1.0))
-        for j in range(4):
-            worst_last = max(worst_last, abs(2.0 * d[2 * j, 2 * j + 1].real))
-    check("history completeness", worst_total < 1e-10)
-    check("last-slot interference", worst_last < 1e-12)
-
-    # Optimizer recovery with a reduced start budget.
-    for kind, target_value in (
-        ("temporal-times", -5.0 * math.cos(math.pi / 5.0)),
-        ("contextual-cone", 5.0 - 4.0 * math.sqrt(5.0)),
-    ):
-        space, evaluator = default_space_and_evaluator(kind)
-        _, value = minimize_lhs(
-            space, canonical_scenario(5), evaluator, seed=args.seed, starts=16
-        )
-        check(f"optimizer {kind}", abs(value - target_value) < 1e-6, f"value={value:.9f}")
-
-    summary = f"selftest: {failures} failure(s)"
-    lines.append(summary)
-    sys.stdout.write(summary + "\n")
-    if args.out:
-        _write(args.out, "\n".join(lines) + "\n")
-    return 0 if failures == 0 else VERIFICATION_ERROR
-
-
-def _random_unit(rng) -> tuple[float, float, float]:
-    v = rng.normal(size=3)
-    v /= np.linalg.norm(v)
-    return tuple(v)
-
-
-def _seed(text: str) -> int:
-    """``--seed``: a non-negative integer, as numpy's generators require."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seeds are non-negative integers, got {text!r}")
-    return value
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcycle",
@@ -369,7 +260,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--format", choices=("text", "structured"), default="text")
-        p.add_argument("--seed", type=_seed, default=0)
         p.add_argument("--out", help="write the report to this path")
 
     p_eval = sub.add_parser("evaluate", help="build a configuration and evaluate its inequality")
@@ -412,10 +302,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--starts", type=int, default=64)
     common(p_scan)
     p_scan.set_defaults(func=cmd_scan)
-
-    p_self = sub.add_parser("selftest", help="run the built-in invariant battery")
-    common(p_self)
-    p_self.set_defaults(func=cmd_selftest)
 
     return parser
 

@@ -3,9 +3,11 @@
 A history family fixes an initial state and three slot observables, the
 same validated ``linalg.Observable`` the other scenarios measure, each
 already in the Heisenberg picture at its own time, so the module is purely
-kinematic; a slot's projectors are its observable's. A full history is an
-outcome tuple (k, l, m) of +1s and -1s; a pattern may carry None (a star)
-for a slot that is hypothetically not measured.
+kinematic; a slot's projectors are its observable's.
+``family_from_bloch_angles`` builds the xz-plane qubit families that
+``qcycle histories`` reports on. A full history is an outcome tuple
+(k, l, m) of +1s and -1s; a pattern may carry None (a star) for a slot that
+is hypothetically not measured.
 
 Everything rests on one object, the decoherence functional
 D(a, b) = Tr(C_a rho C_b^dag) over the 8 full histories, where the chain
@@ -33,8 +35,7 @@ import numpy as np
 
 from .errors import PreconditionError, VerificationError
 from .linalg import Observable, State, dag, identity, maximally_mixed, real_trace
-from .quantum import anticommutator_correlation, heisenberg_observable, xz_observable
-from .scenario import TemporalProtocol
+from .quantum import anticommutator_correlation, xz_observable
 
 SLOTS = 3
 CONSISTENT_TOL = 1e-10
@@ -73,14 +74,6 @@ def family_from_bloch_angles(angles, state: State | None = None) -> HistoryFamil
     if state is None:
         state = maximally_mixed(2)
     return HistoryFamily(state, tuple(xz_observable(a) for a in angles))
-
-
-def family_from_protocol(protocol: TemporalProtocol) -> HistoryFamily:
-    """Heisenberg-picture slots at the protocol's three times."""
-    if protocol.n != SLOTS:
-        raise PreconditionError("protocol must have exactly 3 times")
-    obs = tuple(heisenberg_observable(protocol, t) for t in protocol.times)
-    return HistoryFamily(protocol.initial_state, obs)
 
 
 def chain_operator(family: HistoryFamily, history) -> np.ndarray:

@@ -31,6 +31,8 @@ WITNESS_RESIDUAL_TOL = 1e-7
 NO_DISTURBANCE_TOL = 1e-7
 
 OUTCOMES = (1, -1)
+_X = np.array(OUTCOMES, dtype=float)
+_XX = np.outer(_X, _X)
 
 
 @dataclass(frozen=True)
@@ -63,13 +65,15 @@ class MarginalSet:
         # must match the one implied by pair (i, i+1). Without it no joint
         # distribution can exist for trivial bookkeeping reasons, which must
         # stay distinct from genuine LP infeasibility.
-        left = cells.sum(axis=2)[:, 0]
-        right = cells.sum(axis=1)[:, 0]
-        for i in range(self.n):
-            if abs(left[i] - right[(i - 1) % self.n]) > NO_DISTURBANCE_TOL:
-                raise PreconditionError(
-                    f"inconsistent single-observable marginals at node {i}"
-                )
+        # left[i] and right[i - 1] are both p(X_i = +1), read off pairs
+        # (i, i+1) and (i-1, i); the shift is spelled out because np.roll
+        # costs more than the whole check on short arrays.
+        left = cells[:, 0, 0] + cells[:, 0, 1]
+        right = cells[:, 0, 0] + cells[:, 1, 0]
+        gap = np.abs(left - np.concatenate((right[-1:], right[:-1])))
+        if gap.max() > NO_DISTURBANCE_TOL:
+            node = np.argmax(gap > NO_DISTURBANCE_TOL)
+            raise PreconditionError(f"inconsistent single-observable marginals at node {node}")
 
     def single(self, i: int) -> float:
         """<X_i> implied by pair (i, i+1)."""
@@ -89,8 +93,8 @@ def correlators_to_marginals(
 
     Cell formula p(x_i, x_j) = (1 + x_i s_i + x_j s_j + x_i x_j c_ij) / 4.
     Singles default to unbiased. Any cell below -1e-12 means the moment
-    combination is unphysical and is rejected; tiny negative round-off is
-    clipped to zero.
+    combination is unphysical and is rejected; ``MarginalSet`` clips tiny
+    negative round-off to zero.
     """
     n = c.scenario.n
     if singles is None:
@@ -100,17 +104,14 @@ def correlators_to_marginals(
         raise PreconditionError("need one single-observable mean per node")
     if not all(abs(s) <= 1.0 + 1e-12 for s in singles):  # also rejects nan
         raise PreconditionError("single-observable means must be finite and lie in [-1, 1]")
-    cells = np.empty((n, 2, 2))
-    for i in range(n):
-        si, sj, cij = singles[i], singles[(i + 1) % n], c.values[i]
-        for a, xi in enumerate(OUTCOMES):
-            for b, xj in enumerate(OUTCOMES):
-                p = (1.0 + xi * si + xj * sj + xi * xj * cij) / 4.0
-                if p < -1e-12:
-                    raise PreconditionError(
-                        f"moment combination gives negative cell p={p:.3e} at pair {i}"
-                    )
-                cells[i, a, b] = max(p, 0.0)
+    # cells[i, a, b] for x_i = OUTCOMES[a], x_j = OUTCOMES[b], j = i + 1 mod n.
+    si, sj, cij = np.array((singles, singles[1:] + singles[:1], c.values))[:, :, None, None]
+    cells = (1.0 + _X[:, None] * si + _X * sj + _XX * cij) / 4.0
+    if cells.min() < -1e-12:
+        first = np.flatnonzero(cells < -1e-12)[0]
+        raise PreconditionError(
+            f"moment combination gives negative cell p={cells.flat[first]:.3e} at pair {first // 4}"
+        )
     return MarginalSet(n, cells)
 
 

@@ -3,9 +3,10 @@
 Three routes produce adjacent-pair correlators:
 
 * joint measurement of commuting observables, Tr(rho X Y);
-* sequential projective (Lüders) measurement, which for +-1 observables
-  reduces to the symmetrized form Tr(rho {X, Y})/2 whether or not the pair
-  commutes;
+* sequential projective (Lüders) measurement, evaluated in its closed
+  form: for +-1 observables it is the symmetrized Tr(rho {X, Y})/2 whether
+  or not the pair commutes (the step-by-step Lüders simulation is the test
+  oracle in ``tests/quantum_oracles.py``);
 * bipartite product observables, Tr(rho (A x B)).
 
 Temporal correlators are evaluated in the Heisenberg picture.
@@ -49,28 +50,6 @@ from .scenario import (
 )
 
 COMMUTING_TOL = 1e-9
-DEAD_BRANCH = 1e-14
-
-
-@dataclass(frozen=True)
-class SequentialOutcomeTable:
-    """First-measurement probabilities and second-given-first conditionals."""
-
-    p_first: dict[int, float]
-    p_second_given_first: dict[tuple[int, int], float]
-
-    def __post_init__(self):
-        for k in (1, -1):
-            if not -1e-12 <= self.p_first[k] <= 1 + 1e-12:
-                raise PreconditionError("first-measurement probability out of [0, 1]")
-        if abs(self.p_first[1] + self.p_first[-1] - 1.0) > 1e-12:
-            raise PreconditionError("first-measurement probabilities do not sum to 1")
-        for k in (1, -1):
-            if self.p_first[k] <= DEAD_BRANCH:
-                continue
-            s = self.p_second_given_first[(1, k)] + self.p_second_given_first[(-1, k)]
-            if abs(s - 1.0) > 1e-12:
-                raise PreconditionError("conditional probabilities do not sum to 1")
 
 
 def expectation(rho: State, x: Observable) -> float:
@@ -91,38 +70,6 @@ def correlation_joint(rho: State, x: Observable, y: Observable) -> float:
 def anticommutator_correlation(rho: State, x: Observable, y: Observable) -> float:
     """Tr(rho {X, Y})/2, the two-point correlator of sequential +-1 measurements."""
     return 0.5 * real_trace(rho.matrix @ anticommutator(x.matrix, y.matrix))
-
-
-def correlation_sequential(
-    rho: State, first: Observable, second: Observable
-) -> tuple[float, SequentialOutcomeTable]:
-    """Simulate measuring ``first`` then ``second`` with Lüders state update.
-
-    Returns p(+)q(+|+) + p(-)q(-|-) - p(+)q(-|+) - p(-)q(+|-) together with
-    the outcome table. Branches of zero probability contribute zero and their
-    conditionals are reported as 0.
-    """
-    if rho.dim != first.dim or rho.dim != second.dim:
-        raise PreconditionError("state and observable dimensions differ")
-    p_first: dict[int, float] = {}
-    cond: dict[tuple[int, int], float] = {}
-    value = 0.0
-    for k in (1, -1):
-        pk_proj = first.projector(k)
-        pk = real_trace(pk_proj @ rho.matrix)
-        pk = min(max(pk, 0.0), 1.0)
-        p_first[k] = pk
-        if pk <= DEAD_BRANCH:
-            cond[(1, k)] = 0.0
-            cond[(-1, k)] = 0.0
-            continue
-        post = pk_proj @ rho.matrix @ pk_proj / pk
-        for l in (1, -1):
-            q = real_trace(second.projector(l) @ post)
-            q = min(max(q, 0.0), 1.0)
-            cond[(l, k)] = q
-            value += k * l * pk * q
-    return value, SequentialOutcomeTable(p_first, cond)
 
 
 def correlation_spatial(cfg: BipartiteConfig, i: int, j: int) -> float:

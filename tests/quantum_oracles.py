@@ -1,17 +1,82 @@
 """Independent oracles for the correlators in ``qcycle.quantum``.
 
+``correlation_sequential`` simulates measuring one observable and then
+another with the Lüders state update, the operational route that
+``anticommutator_correlation`` gives in closed form.
 ``temporal_correlations_schrodinger`` simulates the temporal protocol
 step by step in the Schrödinger picture (evolve, Lüders collapse, evolve,
 measure), apart from the Heisenberg route the package uses.
 ``repeat_agreement_probability`` measures the operational non-invasiveness
-behind joint measurability.
+behind joint measurability. ``family_from_protocol`` builds a history family
+from a three-time protocol through the same Heisenberg observables.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
+from qcycle.errors import PreconditionError
+from qcycle.histories import SLOTS, HistoryFamily
 from qcycle.linalg import Observable, State, dag, real_trace, su2_rotation
-from qcycle.quantum import DEAD_BRANCH
+from qcycle.quantum import heisenberg_observable
 from qcycle.scenario import CorrelationVector, TemporalProtocol, canonical_scenario
+
+DEAD_BRANCH = 1e-14
+
+
+@dataclass(frozen=True)
+class SequentialOutcomeTable:
+    """First-measurement probabilities and second-given-first conditionals."""
+
+    p_first: dict[int, float]
+    p_second_given_first: dict[tuple[int, int], float]
+
+    def __post_init__(self):
+        for k in (1, -1):
+            if not -1e-12 <= self.p_first[k] <= 1 + 1e-12:
+                raise PreconditionError("first-measurement probability out of [0, 1]")
+        if abs(self.p_first[1] + self.p_first[-1] - 1.0) > 1e-12:
+            raise PreconditionError("first-measurement probabilities do not sum to 1")
+        for k in (1, -1):
+            if self.p_first[k] <= DEAD_BRANCH:
+                continue
+            s = self.p_second_given_first[(1, k)] + self.p_second_given_first[(-1, k)]
+            if abs(s - 1.0) > 1e-12:
+                raise PreconditionError("conditional probabilities do not sum to 1")
+
+
+def correlation_sequential(
+    rho: State, first: Observable, second: Observable
+) -> tuple[float, SequentialOutcomeTable]:
+    """Simulate measuring ``first`` then ``second`` with Lüders state update.
+
+    Returns p(+)q(+|+) + p(-)q(-|-) - p(+)q(-|+) - p(-)q(+|-) together with
+    the outcome table. Branches of zero probability contribute zero and their
+    conditionals are reported as 0.
+    """
+    if rho.dim != first.dim or rho.dim != second.dim:
+        raise PreconditionError("state and observable dimensions differ")
+    p_first: dict[int, float] = {}
+    cond: dict[tuple[int, int], float] = {}
+    value = 0.0
+    for k in (1, -1):
+        pk_proj = first.projector(k)
+        pk = real_trace(pk_proj @ rho.matrix)
+        pk = min(max(pk, 0.0), 1.0)
+        p_first[k] = pk
+        if pk <= DEAD_BRANCH:
+            cond[(1, k)] = 0.0
+            cond[(-1, k)] = 0.0
+            continue
+        post = pk_proj @ rho.matrix @ pk_proj / pk
+        for l in (1, -1):
+            q = real_trace(second.projector(l) @ post)
+            q = min(max(q, 0.0), 1.0)
+            cond[(l, k)] = q
+            value += k * l * pk * q
+    return value, SequentialOutcomeTable(p_first, cond)
+
+
 
 
 def repeat_agreement_probability(rho: State, x: Observable, y: Observable) -> float:
@@ -60,3 +125,11 @@ def temporal_correlations_schrodinger(protocol: TemporalProtocol) -> Correlation
         a, b = times[i], times[(i + 1) % n]
         values.append(pair_correlator(min(a, b), max(a, b)))
     return CorrelationVector(canonical_scenario(n), tuple(values))
+
+
+def family_from_protocol(protocol: TemporalProtocol) -> HistoryFamily:
+    """Heisenberg-picture slots at the protocol's three times."""
+    if protocol.n != SLOTS:
+        raise PreconditionError("protocol must have exactly 3 times")
+    obs = tuple(heisenberg_observable(protocol, t) for t in protocol.times)
+    return HistoryFamily(protocol.initial_state, obs)

@@ -19,11 +19,12 @@ from conftest import (
     random_qubit_observable,
     random_state,
 )
+from quantum_oracles import correlation_sequential
 from witness_oracle import witness_correlators
 from qcycle.cli import main
 from qcycle.histories import decoherence_functional, lg_decomposition, marginal_probability
 from qcycle.jpd import correlators_to_marginals, jpd_feasible
-from qcycle.quantum import anticommutator_correlation, correlation_sequential
+from qcycle.quantum import anticommutator_correlation
 from qcycle.report import parse_structured
 from qcycle.scenario import (
     CorrelationVector,

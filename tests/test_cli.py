@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qcycle.cli import main
 from qcycle.report import parse_structured
-from qcycle.scenario import ScenarioFile, canonical_scenario, save_scenario
+from qcycle.scenario import CycleScenario, ScenarioFile, canonical_scenario, save_scenario
 from qcycle.search import SEARCH_START_CAP
 
 
@@ -104,6 +104,17 @@ class TestBound:
         code, _ = run_cli(capsys, "bound")
         assert code == 2
 
+    def test_huge_n_is_capped_before_its_signs_are_built(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"built the {n} signs of a scenario past the cap")
+
+        monkeypatch.setattr("qcycle.cli.canonical_scenario", refuse)
+        started = time.perf_counter()
+        code, err = exit_code(("bound", "--n", str(10**12)))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert err == f"resource limit: enumeration capped at n <= 24, got {10**12}\n"
+
 
 class TestFeasibility:
     def test_temporal_infeasible(self, capsys):
@@ -194,6 +205,33 @@ class TestFeasibility:
         assert err.startswith("error: 'kcbs-nonesuch' is neither a builder")
         assert "chained-N" in err and "nor a scenario file" in err
 
+    def test_builder_file_is_scored_under_its_own_signs(self, capsys, tmp_path):
+        path = tmp_path / "temporal-flipped.txt"
+        save_scenario(ScenarioFile(CycleScenario(5, (-1,) * 5), builder="kcbs-temporal"), path)
+        fields = structured(capsys, "feasibility", str(path))
+        canonical = structured(capsys, "feasibility", "kcbs-temporal")
+        assert fields["n"] == "5" and fields["signs"] == "-1 -1 -1 -1 -1"
+        assert fields["correlators"] == canonical["correlators"]
+        # Five correlators of -cos(pi/5) under all-minus signs: lhs 5 cos(pi/5),
+        # and the all-minus parity gives the bound -5; nothing is violated.
+        assert float(fields["lhs"]) == pytest.approx(5 * math.cos(math.pi / 5), abs=1e-12)
+        assert fields["classical_bound"] == "-5"
+        assert fields["violated"] == "false"
+        # The verdict reads the marginals alone, which the signs do not touch.
+        assert fields["feasible"] == canonical["feasible"] == "false"
+
+    def test_builder_file_of_another_length_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def refuse(name):
+            raise AssertionError(f"built {name} for a file of another length")
+
+        monkeypatch.setattr("qcycle.cli.build", refuse)
+        path = tmp_path / "mismatch.txt"
+        save_scenario(ScenarioFile(CycleScenario(7, (-1,) * 7), builder="kcbs-temporal"), path)
+        code = main(["feasibility", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: scenario file has n = 7, but builder 'kcbs-temporal' has cycle length 5\n"
+
     def test_file_without_data_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bare.txt"
         save_scenario(ScenarioFile(canonical_scenario(5)), path)
@@ -258,11 +296,11 @@ class TestMalformedInput:
         [
             ("bound", "--n", "3", "--signs", "1", "1", "x"),
             ("bound", "--n", "3", "--signs", "+1", "+1", "+1.0"),
-            ("selftest", "--seed", "-1"),
+            ("evaluate", "kcbs-temporal", "--seed", "-1"),
             ("scan", "--space", "temporal-times", "--param", "seed", "--min", "-1", "--max", "-1",
              "--starts", "2"),
         ],
-        ids=["sign-word", "sign-float", "selftest-seed", "scan-seed-range"],
+        ids=["sign-word", "sign-float", "evaluate-seed", "scan-seed-range"],
     )
     def test_non_integer_sign_and_negative_seed_are_usage_errors(self, argv):
         code, err = exit_code(argv)
@@ -283,6 +321,23 @@ class TestMalformedInput:
         assert time.perf_counter() - started < 1.0
         assert code == 3
         assert err.startswith("resource limit:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "kcbs-temporal"),
+            ("bound", "--n", "5"),
+            ("feasibility", "kcbs-temporal"),
+            ("histories",),
+            ("scan", "--builder", "chained", "--min", "3", "--max", "4"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_option_is_a_usage_error(self, argv):
+        # Seeds are read only as the --min/--max range of scan --param seed.
+        code, err = exit_code((*argv, "--seed", "1"))
+        assert code == 2
+        assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
 
     def test_negative_signs_still_parse(self, capsys):
         fields = structured(capsys, "bound", "--n", "3", "--signs", "-1", "+1", "1")
@@ -310,6 +365,7 @@ def bound_argv(draw):
 
 @st.composite
 def seed_argv(draw):
+    """A subcommand with the removed --seed option, which must end in exit 2."""
     command = draw(st.sampled_from((["bound", "--n", "5"], ["evaluate", "kcbs-temporal"], ["histories"])))
     return [*command, "--seed", draw(SEED_TOKENS)]
 
@@ -338,9 +394,9 @@ class TestArgvFuzz:
     @given(bound=bound_argv(), seed=seed_argv(), scan=scan_argv())
     @settings(max_examples=60, deadline=None, derandomize=True)
     def test_every_argv_ends_in_a_documented_exit(self, bound, seed, scan):
-        for argv in (bound, seed, scan):
+        for argv, exits in ((bound, (0, 2, 3)), (seed, (2,)), (scan, (0, 2, 3))):
             code, err = exit_code(argv)
-            assert code in (0, 2, 3), (argv, code, err)
+            assert code in exits, (argv, code, err)
             assert "Traceback" not in err
 
 
@@ -430,8 +486,8 @@ class TestScan:
 
 class TestReportDeterminism:
     def test_structured_body_is_byte_identical(self, capsys):
-        _, first = run_cli(capsys, "evaluate", "kcbs-spatial", "--format", "structured", "--seed", "7")
-        _, second = run_cli(capsys, "evaluate", "kcbs-spatial", "--format", "structured", "--seed", "7")
+        _, first = run_cli(capsys, "evaluate", "kcbs-spatial", "--format", "structured")
+        _, second = run_cli(capsys, "evaluate", "kcbs-spatial", "--format", "structured")
 
         def body(text):
             return "\n".join(l for l in text.splitlines() if not l.startswith("#"))
@@ -479,10 +535,11 @@ class TestSubprocessEntry:
         assert proc.returncode == 2
         assert "unknown builder" in proc.stderr
 
-    def test_selftest_passes(self):
+    def test_selftest_is_a_usage_error(self):
+        # The invariant battery lives in the test suite, not in the program.
         proc = subprocess.run(
-            [sys.executable, "-m", "qcycle", "selftest", "--seed", "1"],
+            [sys.executable, "-m", "qcycle", "selftest"],
             capture_output=True, text=True,
         )
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "FAIL" not in proc.stdout
+        assert proc.returncode == 2
+        assert "invalid choice: 'selftest'" in proc.stderr and "Traceback" not in proc.stderr

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import completions, count_constructions, random_family, random_state
+from quantum_oracles import family_from_protocol
 from qcycle import histories
 from qcycle.errors import PreconditionError, VerificationError
 from qcycle.histories import (
@@ -17,7 +18,6 @@ from qcycle.histories import (
     classify_consistency,
     decoherence_functional,
     family_from_bloch_angles,
-    family_from_protocol,
     lg_decomposition,
     marginal_probability,
 )

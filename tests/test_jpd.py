@@ -11,6 +11,7 @@ from qcycle import jpd
 from qcycle.errors import PreconditionError, ResourceLimitError, VerificationError
 from qcycle.jpd import (
     FEASIBILITY_TOL,
+    OUTCOMES,
     MarginalSet,
     _pair_constraint_matrix,
     _phase1_simplex,
@@ -78,7 +79,51 @@ def all_sign_patterns_hold(witness, n):
     return True
 
 
+def loop_cells(values, singles) -> np.ndarray:
+    """Cell by cell, the loop ``correlators_to_marginals`` replaced by one broadcast."""
+    n = len(values)
+    cells = np.empty((n, 2, 2))
+    for i in range(n):
+        si, sj, cij = singles[i], singles[(i + 1) % n], values[i]
+        for a, xi in enumerate(OUTCOMES):
+            for b, xj in enumerate(OUTCOMES):
+                p = (1.0 + xi * si + xj * sj + xi * xj * cij) / 4.0
+                if p < -1e-12:
+                    raise PreconditionError(
+                        f"moment combination gives negative cell p={p:.3e} at pair {i}"
+                    )
+                cells[i, a, b] = max(p, 0.0)
+    return cells
+
+
 class TestCorrelatorsToMarginals:
+    def test_cells_match_the_loop_oracle_bit_for_bit(self):
+        # Correlators at the ends of their physical range put cells at zero
+        # or at a round-off below it, which both routes clip the same way.
+        rng = np.random.default_rng(12)
+        for k in range(600):
+            n = int(rng.integers(3, 17))
+            biased = k % 2 == 0
+            singles = rng.uniform(-0.4, 0.4, size=n) if biased else np.zeros(n)
+            sj = np.roll(singles, -1)
+            lo, hi = -1.0 + np.abs(singles + sj), 1.0 - np.abs(singles - sj)
+            values = np.where(rng.random(n) < 0.2, np.where(rng.random(n) < 0.5, lo, hi),
+                              rng.uniform(lo, hi))
+            corr = CorrelationVector(CycleScenario(n, (1,) * n), tuple(values))
+            m = correlators_to_marginals(corr, tuple(singles) if biased else None)
+            expected = MarginalSet(n, loop_cells(corr.values, tuple(float(s) for s in singles)))
+            assert m.cells.tobytes() == expected.cells.tobytes()
+
+    def test_unphysical_moments_name_the_first_pair(self):
+        corr = CorrelationVector(canonical_scenario(5), (0.0, -1.0, 0.0, -1.0, 0.0))
+        singles = (0.0, 0.5, 0.5, 0.5, 0.5)
+        with pytest.raises(PreconditionError) as expected:
+            loop_cells(corr.values, singles)
+        with pytest.raises(PreconditionError) as exc:
+            correlators_to_marginals(corr, singles)
+        assert str(exc.value) == str(expected.value)
+        assert str(exc.value).endswith("at pair 1")
+
     def test_perfect_correlation(self):
         m = correlators_to_marginals(CorrelationVector(canonical_scenario(3), (1.0,) * 3))
         assert m.cells[0, 0, 0] == pytest.approx(0.5)
@@ -135,6 +180,15 @@ class TestMarginalSetValidation:
         with pytest.raises(PreconditionError) as exc:
             MarginalSet(3, cells)
         assert "single-observable" in str(exc.value)
+
+    def test_no_disturbance_names_the_first_node(self):
+        # Pairs (0,1) and (2,3) each give their right node <X> = 0.6 while the
+        # next pair gives 0: nodes 1 and 3 both fail, and node 1 is reported.
+        cells = np.full((4, 2, 2), 0.25)
+        cells[0] = cells[2] = np.array([[0.5, 0.0], [0.3, 0.2]])
+        with pytest.raises(PreconditionError) as exc:
+            MarginalSet(4, cells)
+        assert str(exc.value) == "inconsistent single-observable marginals at node 1"
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_cell_rejected(self, bad):

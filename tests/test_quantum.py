@@ -6,7 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import count_constructions, random_qubit_observable, random_state, random_unit3
-from quantum_oracles import repeat_agreement_probability, temporal_correlations_schrodinger
+from quantum_oracles import (
+    correlation_sequential,
+    repeat_agreement_probability,
+    temporal_correlations_schrodinger,
+)
 from qcycle.errors import PreconditionError
 from qcycle.linalg import (
     SIGMA_X,
@@ -26,7 +30,6 @@ from qcycle.quantum import (
     contextual_correlations,
     contextual_kcbs_configuration,
     correlation_joint,
-    correlation_sequential,
     correlation_spatial,
     heisenberg_observable,
     perfect_pair_values,
