@@ -6,7 +6,8 @@ Subcommands: ``evaluate``, ``bound``, ``feasibility``, ``histories`` and
 that variable is set.
 
 Exit codes: 0 success, 2 usage error (an output path that cannot be written
-included), 3 resource cap exceeded, 4 internal verification failure.
+included), 3 resource cap exceeded (``CYCLE_CAP``, ``check_lp_cap``,
+``SEARCH_START_CAP``), 4 internal verification failure.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import time
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .errors import PreconditionError, ResourceLimitError, VerificationError
 from .histories import family_from_bloch_angles, lg_decomposition
@@ -32,8 +31,8 @@ from .scenario import (
     CorrelationVector,
     CycleScenario,
     canonical_scenario,
-    check_enumeration_cap,
     classical_bound,
+    inequality_lhs,
     load_scenario,
 )
 # minimize_lhs is not called here; perfbench/tracing.py patches qcycle.cli.minimize_lhs.
@@ -77,9 +76,8 @@ def _scenario_fields(report: RunReport, scenario: CycleScenario) -> None:
 
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
-    check_enumeration_cap(builder_cycle_length(args.builder))
     result = build(args.builder)
-    lhs = float(np.dot(result.scenario.signs, result.correlations.values))
+    lhs = inequality_lhs(result.correlations)
     bound = classical_bound(result.scenario)
     report = RunReport("evaluate", args.argv)
     report.add("tool_version", __version__)
@@ -111,8 +109,6 @@ def cmd_bound(args) -> int:
         if args.signs:
             scenario = CycleScenario(args.n, tuple(args.signs))
         else:
-            # Checked before the n signs are built, so a huge --n ends fast.
-            check_enumeration_cap(args.n)
             scenario = canonical_scenario(args.n)
         source = "command line"
     bound = classical_bound(scenario)
@@ -131,23 +127,30 @@ def _marginals_for(args):
 
     An input that ``builder_cycle_length`` accepts is a builder name; any
     other input is a scenario file path. A file that names a builder scores
-    the builder's correlators under the file's own signs.
+    the builder's correlators and singles under the file's own signs, so it
+    may give neither of those.
     """
     builder, scenario = args.input, None
     try:
         n = builder_cycle_length(builder)
     except PreconditionError:
-        if not Path(args.input).is_file():
+        if not os.path.isfile(args.input):  # False, not OSError, for a name too long
             raise PreconditionError(
                 f"{args.input!r} is neither a builder ({', '.join(BUILDER_NAMES)}) "
                 "nor a scenario file"
             ) from None
         doc = load_scenario(args.input)
-        if doc.correlators is not None:
+        if doc.builder is None:
+            if doc.correlators is None:
+                raise PreconditionError("scenario file needs correlators or a builder")
             corr = CorrelationVector(doc.scenario, doc.correlators)
             return correlators_to_marginals(corr, doc.singles), corr, f"file:{args.input}"
-        if doc.builder is None:
-            raise PreconditionError("scenario file needs correlators or a builder")
+        for key in ("correlators", "singles"):
+            if getattr(doc, key) is not None:
+                raise PreconditionError(
+                    f"scenario file names builder {doc.builder!r}, which gives its own {key}; "
+                    f"drop the {key!r} key"
+                )
         builder, scenario = doc.builder, doc.scenario
         n = builder_cycle_length(builder)
         if n != scenario.n:
@@ -166,7 +169,7 @@ def cmd_feasibility(args) -> int:
     started = time.perf_counter()
     marginals, corr, name = _marginals_for(args)
     witness = jpd_feasible(marginals)
-    lhs = float(np.dot(corr.scenario.signs, corr.values))
+    lhs = inequality_lhs(corr)
     bound = classical_bound(corr.scenario)
     report = RunReport("feasibility", args.argv)
     report.add("tool_version", __version__)

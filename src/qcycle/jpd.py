@@ -75,16 +75,6 @@ class MarginalSet:
             node = np.argmax(gap > NO_DISTURBANCE_TOL)
             raise PreconditionError(f"inconsistent single-observable marginals at node {node}")
 
-    def single(self, i: int) -> float:
-        """<X_i> implied by pair (i, i+1)."""
-        row = self.cells[i].sum(axis=1)
-        return float(row[0] - row[1])
-
-    def correlator(self, i: int) -> float:
-        """<X_i X_{i+1 mod n}>."""
-        c = self.cells[i]
-        return float(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0])
-
 
 def correlators_to_marginals(
     c: CorrelationVector, singles=None
@@ -149,7 +139,7 @@ def _closest_facet(m: MarginalSet) -> tuple[tuple[int, ...], float]:
     ties) and loses 2 min|c_i|.
     """
     cells = m.cells
-    # The sum order of MarginalSet.correlator, for every pair at once.
+    # <X_i X_{i+1}> = p(++) + p(--) - p(+-) - p(-+), summed in that order, for every pair.
     c = cells[:, 0, 0] + cells[:, 1, 1] - cells[:, 0, 1] - cells[:, 1, 0]
     size = np.abs(c)
     gamma = np.where(c < 0, -1, 1)

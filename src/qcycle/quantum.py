@@ -13,7 +13,8 @@ Temporal correlators are evaluated in the Heisenberg picture.
 
 Builders construct the maximally violating configurations for the five-cycle
 in each setting (``kcbs-contextual``, ``kcbs-temporal``, ``kcbs-spatial``)
-and the chained configuration for any cycle length (``chained-N``).
+and the chained configuration for any cycle length 3 <= N <= ``CYCLE_CAP``
+(``chained-N``), its length read off the name by ``builder_cycle_length``.
 """
 
 from __future__ import annotations
@@ -42,11 +43,13 @@ from .linalg import (
     su2_rotation,
 )
 from .scenario import (
+    CYCLE_CAP,
     BipartiteConfig,
     CorrelationVector,
     CycleScenario,
     TemporalProtocol,
     canonical_scenario,
+    check_cycle_cap,
 )
 
 COMMUTING_TOL = 1e-9
@@ -244,7 +247,8 @@ class BuilderResult:
     adjacent_commutator_norms: tuple[float, ...] | None
 
 
-_CHAINED_RE = re.compile(r"^chained-(\d+)$")
+# Matched whole on ASCII digits: no trailing newline or other script's digits.
+_CHAINED_RE = re.compile(r"chained-([0-9]+)")
 
 BUILDER_NAMES = ("kcbs-contextual", "kcbs-temporal", "kcbs-spatial", "chained-N")
 
@@ -263,24 +267,25 @@ def _bipartite_singles(cfg: BipartiteConfig, node_obs: list[tuple[str, int]]) ->
     return tuple(singles)
 
 
-def _unknown_builder(name: str) -> PreconditionError:
-    return PreconditionError(
-        f"unknown builder {name!r}; expected one of {', '.join(BUILDER_NAMES)}"
-    )
-
-
 def builder_cycle_length(name: str) -> int:
-    """Cycle length of a named configuration, read off the name without building it."""
+    """Cycle length of a named configuration, checked against ``CYCLE_CAP`` before any build."""
     if name in ("kcbs-contextual", "kcbs-temporal", "kcbs-spatial"):
         return 5
-    m = _CHAINED_RE.match(name)
-    if m:
-        return int(m.group(1))
-    raise _unknown_builder(name)
+    m = _CHAINED_RE.fullmatch(name)
+    if not m:
+        raise PreconditionError(
+            f"unknown builder {name!r}; expected one of {', '.join(BUILDER_NAMES)}"
+        )
+    digits = m.group(1).lstrip("0") or "0"
+    # A count with more digits than the cap is past it; int() refuses over 4300 digits.
+    n = int(digits) if len(digits) <= len(str(CYCLE_CAP)) else math.inf
+    check_cycle_cap(n)
+    return n
 
 
 def build(name: str) -> BuilderResult:
     """Evaluate a named configuration: kcbs-{contextual,temporal,spatial} or chained-N."""
+    n = builder_cycle_length(name)
     if name == "kcbs-temporal":
         protocol = temporal_kcbs_protocol()
         corr = temporal_correlations(protocol)
@@ -303,17 +308,13 @@ def build(name: str) -> BuilderResult:
         return BuilderResult(
             name, corr.scenario, corr, singles, perfect_pair_values(cfg), None
         )
-    m = _CHAINED_RE.match(name)
-    if m:
-        n = int(m.group(1))
-        cfg = chained_configuration(n)
-        corr = spatial_correlations(cfg)
-        if n % 2 == 0:
-            nodes = [("A", k // 2) if k % 2 == 0 else ("B", (k - 1) // 2) for k in range(n)]
-            perfect = None
-        else:
-            nodes = [("A", i) for i in range(n)]
-            perfect = perfect_pair_values(cfg)
-        singles = _bipartite_singles(cfg, nodes)
-        return BuilderResult(name, corr.scenario, corr, singles, perfect, None)
-    raise _unknown_builder(name)
+    cfg = chained_configuration(n)
+    corr = spatial_correlations(cfg)
+    if n % 2 == 0:
+        nodes = [("A", k // 2) if k % 2 == 0 else ("B", (k - 1) // 2) for k in range(n)]
+        perfect = None
+    else:
+        nodes = [("A", i) for i in range(n)]
+        perfect = perfect_pair_values(cfg)
+    singles = _bipartite_singles(cfg, nodes)
+    return BuilderResult(name, corr.scenario, corr, singles, perfect, None)

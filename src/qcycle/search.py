@@ -44,7 +44,7 @@ converge or shrink pay for index arrays. The evaluators work in place in
 one or two buffers; the cone builds its vectors component-major, so each
 ufunc runs on contiguous rows. Every floating-point operation is the one the
 straightforward expression makes, so trajectories are bit-identical to it.
-``SEARCH_START_CAP`` bounds starts x seeds per call.
+``SEARCH_START_CAP`` bounds starts x seeds per call, ``CYCLE_CAP`` a chained scan.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ from .quantum import build, spatial_kcbs_configuration, temporal_kcbs_protocol
 from .scenario import (
     CycleScenario,
     canonical_scenario,
-    check_enumeration_cap,
+    check_cycle_cap,
     classical_bound,
     inequality_lhs,
 )
@@ -97,12 +97,12 @@ class SearchSpace:
             raise PreconditionError("empty bound interval")
 
 
-def temporal_times_space(n: int = 5) -> SearchSpace:
-    return SearchSpace("temporal-times", n, ((0.0, 1.0),) * n)
+def temporal_times_space() -> SearchSpace:
+    return SearchSpace("temporal-times", 5, ((0.0, 1.0),) * 5)
 
 
-def bloch_angles_space(n: int = 5) -> SearchSpace:
-    return SearchSpace("bloch-angles", n, ((0.0, 2.0 * math.pi),) * n)
+def bloch_angles_space() -> SearchSpace:
+    return SearchSpace("bloch-angles", 5, ((0.0, 2.0 * math.pi),) * 5)
 
 
 def contextual_cone_space() -> SearchSpace:
@@ -304,11 +304,11 @@ def contextual_cone_evaluator(params) -> np.ndarray:
     return out.T.copy()
 
 
-def default_space_and_evaluator(kind: str, n: int = 5) -> tuple[SearchSpace, Evaluator]:
+def default_space_and_evaluator(kind: str) -> tuple[SearchSpace, Evaluator]:
     if kind == "temporal-times":
-        return temporal_times_space(n), temporal_times_evaluator
+        return temporal_times_space(), temporal_times_evaluator
     if kind == "bloch-angles":
-        return bloch_angles_space(n), bloch_angles_evaluator
+        return bloch_angles_space(), bloch_angles_evaluator
     if kind == "contextual-cone":
         return contextual_cone_space(), contextual_cone_evaluator
     raise PreconditionError(f"unknown search space kind {kind!r}")
@@ -449,9 +449,9 @@ def minimize_lhs(
 def scan_chained(n_min: int, n_max: int):
     """Rows (n, quantum value, classical bound) for the chained family.
 
-    The bound's cap is checked for ``n_max`` before anything is built.
+    The cycle cap is checked on the sum of n, the nodes it builds, first.
     """
-    check_enumeration_cap(n_max)
+    check_cycle_cap((n_min + n_max) * max(n_max - n_min + 1, 0) // 2)
     rows = []
     for n in range(n_min, n_max + 1):
         result = build(f"chained-{n}")
@@ -474,14 +474,14 @@ def _seed_count(seeds: Sequence[int]) -> int:
     return len(seeds)
 
 
-def scan_seeds(kind: str, seeds: Sequence[int], *, n: int = 5, starts: int = 64):
+def scan_seeds(kind: str, seeds: Sequence[int], *, starts: int = 64):
     """Rows (seed, best value, classical bound) of repeated optimizer runs.
 
     The start cap is checked for all seeds together before anything is built.
     """
     check_start_cap(starts, _seed_count(seeds))
-    space, evaluator = default_space_and_evaluator(kind, n)
-    scenario = canonical_scenario(5 if kind == "contextual-cone" else n)
+    space, evaluator = default_space_and_evaluator(kind)
+    scenario = canonical_scenario(5)
     bound = classical_bound(scenario)
     rows = []
     for seed in seeds:

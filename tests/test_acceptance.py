@@ -129,10 +129,21 @@ def test_criterion_5_chained_curve(capsys):
         assert worst <= 1e-8
         assert int(fields["classical_bound"]) == -n + 2
         assert fields["violated"] == "true"
+    # Up to the cycle cap the error grows about linearly with n (1.8e-11 at
+    # n = 10 000), so the tolerance scales with n.
+    worst_per_node = 0.0
+    for n in (100, 1000, 10_000):
+        fields = run_structured(capsys, "evaluate", f"chained-{n}")
+        error = abs(float(fields["lhs"]) - n * math.cos(math.pi * (n - 1) / n))
+        assert error <= 1e-14 * n, (n, error)
+        worst_per_node = max(worst_per_node, error / n)
+        assert int(fields["classical_bound"]) == -n + 2
+        assert fields["violated"] == "true"
     elapsed = budget.check()
     capsys.readouterr()
     with capsys.disabled():
-        report("criterion 5", True, f"n=3..12 within {worst:.1e} of closed form in {elapsed:.2f}s")
+        report("criterion 5", True, f"n=3..12 within {worst:.1e} of closed form, n=100..10^4 within "
+               f"{worst_per_node:.1e}*n, in {elapsed:.2f}s")
 
 
 def test_criterion_6_lp_consistency(capsys):

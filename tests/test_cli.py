@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 
 from qcycle.cli import main
 from qcycle.report import parse_structured
-from qcycle.scenario import CycleScenario, ScenarioFile, canonical_scenario, save_scenario
+from qcycle.scenario import CYCLE_CAP, CycleScenario, ScenarioFile, canonical_scenario, save_scenario
 from qcycle.search import SEARCH_START_CAP
+
+# A chained-N name of more digits than Python's int() accepts (4300).
+HUGE_DIGITS = "9" * 5000
 
 
 def run_cli(capsys, *argv):
@@ -72,13 +75,38 @@ class TestEvaluate:
         assert "# argv = evaluate chained-5 --format structured" in out.splitlines()
 
     def test_chained_cap_checked_before_building(self, capsys, monkeypatch):
-        def refuse(name):
-            raise AssertionError(f"built {name} past the enumeration cap")
+        n = CYCLE_CAP
+        fields = structured(capsys, "evaluate", f"chained-{n}")
+        assert abs(float(fields["lhs"]) - n * math.cos(math.pi * (n - 1) / n)) <= 1e-10
+        assert fields["classical_bound"] == str(2 - n)
 
-        monkeypatch.setattr("qcycle.quantum.build", refuse)
-        monkeypatch.setattr("qcycle.cli.build", refuse)
-        code, _ = run_cli(capsys, "evaluate", "chained-3000")
+        def refuse(n):
+            raise AssertionError(f"built a chained configuration of {n} nodes past the cap")
+
+        monkeypatch.setattr("qcycle.quantum.chained_configuration", refuse)
+        started = time.perf_counter()
+        code, err = exit_code(("evaluate", f"chained-{CYCLE_CAP + 1}"))
+        assert time.perf_counter() - started < 1.0
         assert code == 3
+        assert err == f"resource limit: cycle capped at {CYCLE_CAP} nodes, got {CYCLE_CAP + 1}\n"
+
+    @pytest.mark.parametrize("command", ["evaluate", "feasibility"])
+    def test_name_of_over_4300_digits_ends_in_exit_3(self, command, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"built a chained configuration of {n} nodes past the cap")
+
+        monkeypatch.setattr("qcycle.quantum.chained_configuration", refuse)
+        started = time.perf_counter()
+        code, err = exit_code((command, f"chained-{HUGE_DIGITS}"))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert err == f"resource limit: cycle capped at {CYCLE_CAP} nodes, got more than 10**18\n"
+
+    def test_leading_zeros_still_parse(self, capsys):
+        padded = structured(capsys, "evaluate", "chained-007")
+        plain = structured(capsys, "evaluate", "chained-7")
+        assert padded["builder"] == "chained-007"
+        assert padded["lhs"] == plain["lhs"] and padded["n"] == "7"
 
 
 class TestBound:
@@ -97,7 +125,9 @@ class TestBound:
         assert fields["classical_bound"] == "-4"
 
     def test_resource_cap_exit_code(self, capsys):
-        code, _ = run_cli(capsys, "bound", "--n", "30")
+        fields = structured(capsys, "bound", "--n", str(CYCLE_CAP))
+        assert fields["classical_bound"] == str(2 - CYCLE_CAP)
+        code, _ = run_cli(capsys, "bound", "--n", str(CYCLE_CAP + 1))
         assert code == 3
 
     def test_missing_arguments(self, capsys):
@@ -108,12 +138,12 @@ class TestBound:
         def refuse(n):
             raise AssertionError(f"built the {n} signs of a scenario past the cap")
 
-        monkeypatch.setattr("qcycle.cli.canonical_scenario", refuse)
+        monkeypatch.setattr("qcycle.scenario.CycleScenario", refuse)
         started = time.perf_counter()
         code, err = exit_code(("bound", "--n", str(10**12)))
         assert time.perf_counter() - started < 1.0
         assert code == 3
-        assert err == f"resource limit: enumeration capped at n <= 24, got {10**12}\n"
+        assert err == f"resource limit: cycle capped at {CYCLE_CAP} nodes, got {10**12}\n"
 
 
 class TestFeasibility:
@@ -231,6 +261,44 @@ class TestFeasibility:
         err = capsys.readouterr().err
         assert code == 2
         assert err == "error: scenario file has n = 7, but builder 'kcbs-temporal' has cycle length 5\n"
+
+    @pytest.mark.parametrize(
+        "key, values", [("singles", "0.5 0.5 0.5 0.5 0.5"), ("correlators", "-0.6 -0.6 -0.6 -0.6 -0.6")]
+    )
+    def test_builder_file_with_its_own_data_is_usage_error(self, capsys, tmp_path, monkeypatch, key, values):
+        # The builder supplies both moments, so a file giving either would
+        # have one of its two sources dropped.
+        def refuse(name):
+            raise AssertionError(f"built {name} for a file that conflicts with it")
+
+        monkeypatch.setattr("qcycle.cli.build", refuse)
+        path = tmp_path / "conflict.txt"
+        path.write_text(f"n = 5\nsigns = +1 +1 +1 +1 +1\nbuilder = kcbs-temporal\n{key} = {values}\n")
+        code = main(["feasibility", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == (
+            f"error: scenario file names builder 'kcbs-temporal', which gives its own {key}; "
+            f"drop the {key!r} key\n"
+        )
+
+    def test_builder_file_past_the_cycle_cap_ends_in_exit_3(self, capsys, tmp_path, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"built a chained configuration of {n} nodes past the cap")
+
+        monkeypatch.setattr("qcycle.quantum.chained_configuration", refuse)
+        path = tmp_path / "huge.txt"
+        path.write_text(f"n = 5\nsigns = +1 +1 +1 +1 +1\nbuilder = chained-{HUGE_DIGITS}\n")
+        started = time.perf_counter()
+        code, err = exit_code(("feasibility", str(path)))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert err.startswith("resource limit: cycle capped") and "Traceback" not in err
+
+    def test_name_too_long_for_a_path_is_usage_error(self):
+        code, err = exit_code(("feasibility", "x" * 5000))
+        assert code == 2
+        assert "is neither a builder" in err and "Traceback" not in err
 
     def test_file_without_data_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bare.txt"
@@ -390,11 +458,52 @@ def scan_argv(draw):
             "--min", str(low), "--max", str(high), "--starts", draw(STARTS_TOKENS)]
 
 
+# Digits of a chained-N name: runnable lengths, some with leading zeros,
+# lengths past the LP cap, past the cycle cap, past int()'s 4300 digits, none.
+CHAINED_DIGITS = (
+    st.integers(0, 60).map(str),
+    st.tuples(st.integers(1, 4), st.integers(0, 12)).map(lambda z: "0" * z[0] + str(z[1])),
+    st.integers(CYCLE_CAP + 1, 2**70).map(str),
+    st.integers(4301, 5000).map(lambda k: "9" * k),
+    st.just(""),
+)
+
+
+@st.composite
+def builder_argv(draw):
+    # A drawn kind of digits, so each kind appears in a run of 60 examples.
+    digits = draw(draw(st.sampled_from(CHAINED_DIGITS)))
+    return [draw(st.sampled_from(("evaluate", "feasibility"))), f"chained-{digits}"]
+
+
+def first_max_past_the_cap(low: int) -> int:
+    """The smallest --max whose chained scan from ``low`` sums past CYCLE_CAP nodes."""
+    high, total = low, low
+    while total <= CYCLE_CAP:
+        high += 1
+        total += high
+    return high
+
+
+@st.composite
+def chained_scan_argv(draw):
+    """A short chained scan, or one whose node total lies just or far past the cap."""
+    low = draw(st.integers(-3, 12))
+    high = draw(st.one_of(
+        st.integers(low - 1, low + 2),
+        st.integers(0, 3).map(lambda k: first_max_past_the_cap(low) + k),
+        st.integers(2**20, 2**70),
+    ))
+    return ["scan", "--builder", "chained", "--param", "n", "--min", str(low), "--max", str(high)]
+
+
 class TestArgvFuzz:
-    @given(bound=bound_argv(), seed=seed_argv(), scan=scan_argv())
+    @given(bound=bound_argv(), seed=seed_argv(), scan=scan_argv(), builder=builder_argv(),
+           chained=chained_scan_argv())
     @settings(max_examples=60, deadline=None, derandomize=True)
-    def test_every_argv_ends_in_a_documented_exit(self, bound, seed, scan):
-        for argv, exits in ((bound, (0, 2, 3)), (seed, (2,)), (scan, (0, 2, 3))):
+    def test_every_argv_ends_in_a_documented_exit(self, bound, seed, scan, builder, chained):
+        for argv, exits in ((bound, (0, 2, 3)), (seed, (2,)), (scan, (0, 2, 3)), (builder, (0, 2, 3)),
+                            (chained, (0, 2, 3))):
             code, err = exit_code(argv)
             assert code in exits, (argv, code, err)
             assert "Traceback" not in err
@@ -468,14 +577,21 @@ class TestScan:
         assert target.read_text().startswith("parameter,lhs_value,classical_bound")
 
     def test_chained_cap_checked_before_building(self, capsys, monkeypatch):
+        # 3 + 4 + ... + 140 = 9867 nodes fit under the cap; adding 141 does not.
+        code, out = run_cli(capsys, "scan", "--builder", "chained", "--min", "3", "--max", "140")
+        assert code == 0
+        assert len(out.splitlines()) == 1 + 138
+
         def refuse(name):
-            raise AssertionError(f"built {name} before checking the enumeration cap")
+            raise AssertionError(f"built {name} before checking the cycle cap")
 
         monkeypatch.setattr("qcycle.quantum.build", refuse)
         monkeypatch.setattr("qcycle.search.build", refuse)
-        code = main(["scan", "--builder", "chained", "--min", "3", "--max", "30"])
+        started = time.perf_counter()
+        code = main(["scan", "--builder", "chained", "--min", "3", "--max", "141"])
+        assert time.perf_counter() - started < 1.0
         assert code == 3
-        assert capsys.readouterr().err == "resource limit: enumeration capped at n <= 24, got 30\n"
+        assert capsys.readouterr().err == f"resource limit: cycle capped at {CYCLE_CAP} nodes, got 10008\n"
 
     def test_bad_param_is_usage_error(self, capsys):
         code, _ = run_cli(

@@ -65,8 +65,20 @@ def lp_rows(m):
     return _pair_constraint_matrix(m.n), np.concatenate(([1.0], m.cells.ravel()))
 
 
+def pair_single(m, i: int) -> float:
+    """<X_i> implied by pair (i, i+1) of the MarginalSet m."""
+    row = m.cells[i].sum(axis=1)
+    return float(row[0] - row[1])
+
+
+def pair_correlator(m, i: int) -> float:
+    """<X_i X_{i+1 mod n}> of the MarginalSet m."""
+    c = m.cells[i]
+    return float(c[0, 0] + c[1, 1] - c[0, 1] - c[1, 0])
+
+
 def correlators_of(m):
-    return [m.correlator(i) for i in range(m.n)]
+    return [pair_correlator(m, i) for i in range(m.n)]
 
 
 def all_sign_patterns_hold(witness, n):
@@ -145,8 +157,8 @@ class TestCorrelatorsToMarginals:
         singles = (0.1, -0.1, 0.2, 0.0, -0.3)
         m = correlators_to_marginals(corr, singles)
         for i in range(5):
-            assert m.correlator(i) == pytest.approx(corr.values[i], abs=1e-12)
-            assert m.single(i) == pytest.approx(singles[i], abs=1e-12)
+            assert pair_correlator(m, i) == pytest.approx(corr.values[i], abs=1e-12)
+            assert pair_single(m, i) == pytest.approx(singles[i], abs=1e-12)
 
     def test_unphysical_moments_rejected(self):
         corr = CorrelationVector(canonical_scenario(3), (1.0, 0.0, 0.0))
@@ -226,8 +238,8 @@ class TestJpdFeasible:
         assignments, weights = boundary_mixture()
         m = marginals_from_mixture(5, assignments, weights)
         for i in range(5):
-            assert m.correlator(i) == pytest.approx(-0.6, abs=1e-12)
-            assert m.single(i) == pytest.approx(0.0, abs=1e-12)
+            assert pair_correlator(m, i) == pytest.approx(-0.6, abs=1e-12)
+            assert pair_single(m, i) == pytest.approx(0.0, abs=1e-12)
         witness = jpd_feasible(m)
         assert witness.feasible
         assert np.allclose(witness_correlators(witness, 5), -0.6, atol=1e-7)
@@ -250,7 +262,7 @@ class TestJpdFeasible:
                 continue
             corr = witness_correlators(witness, 4)
             for i in range(4):
-                assert corr[i] == pytest.approx(m.correlator(i), abs=1e-7)
+                assert corr[i] == pytest.approx(pair_correlator(m, i), abs=1e-7)
 
 
 class TestSoundnessAndAgreement:
@@ -306,7 +318,7 @@ class TestSoundnessAndAgreement:
             if witness.feasible:
                 continue
             infeasible += 1
-            corr = tuple(m.correlator(i) for i in range(n))
+            corr = tuple(pair_correlator(m, i) for i in range(n))
             for signs in itertools.product((1, -1), repeat=n):
                 scen = CycleScenario(n, signs)
                 if inequality_lhs(CorrelationVector(scen, corr)) < classical_bound(scen) - 1e-9:

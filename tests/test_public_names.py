@@ -1,9 +1,11 @@
-"""Every top-level public name in ``src/qcycle`` has a caller outside the tests.
+"""Every public name in ``src/qcycle`` has a caller outside the tests.
 
-A name that only tests reach is a test oracle and belongs in ``tests/``; a
-name nothing reaches is dead. The check parses ``src/qcycle/*.py`` and counts
-a name as used when the package, ``scripts/`` or ``perfbench/`` loads it as a
-variable, reads it as an attribute or imports it, besides defining it.
+The names checked are the top-level ones and the methods and properties of
+public classes. A name that only tests reach is a test oracle and belongs in
+``tests/``; a name nothing reaches is dead. The check parses
+``src/qcycle/*.py`` and counts a name as used when the package, ``scripts/``
+or ``perfbench/`` loads it as a variable, reads it as an attribute or imports
+it, besides defining it.
 """
 
 from __future__ import annotations
@@ -34,6 +36,17 @@ def top_level_public_names(tree: ast.Module) -> list[str]:
     return [name for name in names if not name.startswith("_")]
 
 
+def public_method_names(tree: ast.Module) -> list[str]:
+    """``Class.method`` for every public method or property of a public class."""
+    return [
+        f"{cls.name}.{node.name}"
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    ]
+
+
 def referenced_names(paths) -> set[str]:
     used = set()
     for path in paths:
@@ -47,10 +60,14 @@ def referenced_names(paths) -> set[str]:
     return used
 
 
+def used_outside_the_tests() -> set[str]:
+    callers = [PACKAGE.glob("*.py"), (ROOT / "scripts").glob("*.py"), (ROOT / "perfbench").glob("*.py")]
+    return referenced_names(path for paths in callers for path in sorted(paths))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     modules = sorted(PACKAGE.glob("*.py"))
-    callers = modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    used = referenced_names(callers)
+    used = used_outside_the_tests()
     unused = [
         f"{path.name}:{name}"
         for path in modules
@@ -58,6 +75,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if name not in used and name not in ALLOWED_UNUSED
     ]
     assert unused == []
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    modules = sorted(PACKAGE.glob("*.py"))
+    used = used_outside_the_tests()
+    unused = [
+        f"{path.name}:{name}"
+        for path in modules
+        for name in public_method_names(ast.parse(path.read_text()))
+        if name.split(".")[1] not in used
+    ]
+    assert unused == []
+
+
+def test_method_check_sees_methods_and_properties():
+    tree = ast.parse(
+        "class A:\n    def f(self): pass\n    @property\n    def p(self): pass\n"
+        "    def _g(self): pass\nclass _B:\n    def h(self): pass\n"
+    )
+    assert public_method_names(tree) == ["A.f", "A.p"]
 
 
 def test_allow_list_names_exist():

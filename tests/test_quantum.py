@@ -349,6 +349,13 @@ class TestBuilders:
         with pytest.raises(PreconditionError):
             build("kcbs-imaginary")
 
+    @pytest.mark.parametrize("name", ["chained-5\n", "chained-\u0665", "chained-", "chained-+5"])
+    def test_malformed_chained_name_rejected(self, name):
+        # A trailing newline used to pass the pattern and put an empty line
+        # into the report body; other scripts' digits passed it too.
+        with pytest.raises(PreconditionError, match="unknown builder"):
+            build(name)
+
     def test_temporal_result(self):
         result = build("kcbs-temporal")
         assert inequality_lhs(result.correlations) == pytest.approx(

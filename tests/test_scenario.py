@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from bound_oracle import enumerated_bound
 from qcycle.errors import PreconditionError, ResourceLimitError
 from qcycle.scenario import (
+    CYCLE_CAP,
     CorrelationVector,
     CycleScenario,
     ScenarioFile,
@@ -72,9 +73,21 @@ class TestClassicalBound:
             for pattern in (signs, [-signs[0]] + signs[1:]):
                 assert classical_bound(CycleScenario(n, tuple(pattern))) == enumerated_bound(pattern)
 
+    @pytest.mark.parametrize("n", [25, CYCLE_CAP])
+    def test_bound_past_the_enumeration_range_follows_the_parity_rule(self, n):
+        # The O(n) rule has no cap of its own: past n = 24, where enumeration
+        # stops being practical, it still gives -n+2 for the canonical
+        # pattern, and -n once one flipped sign makes prod(-s_i) = 1.
+        canonical = canonical_scenario(n)
+        assert classical_bound(canonical) == -n + 2
+        flipped = CycleScenario(n, (-canonical.signs[0],) + canonical.signs[1:])
+        assert classical_bound(flipped) == -n
+        # All minus: y_i = +1 for every term satisfies prod(y_i) = 1.
+        assert classical_bound(CycleScenario(n, (-1,) * n)) == -n
+
     def test_cap_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            classical_bound(canonical_scenario(25))
+        with pytest.raises(ResourceLimitError, match=f"cycle capped at {CYCLE_CAP} nodes"):
+            canonical_scenario(CYCLE_CAP + 1)
 
     def test_too_small_cycle_rejected(self):
         with pytest.raises(PreconditionError):

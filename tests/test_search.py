@@ -305,7 +305,7 @@ class TestMinimizeLhs:
 
     def test_ties_go_to_the_lowest_start(self):
         # A flat objective ties every start; the first drawn start wins.
-        space = temporal_times_space(5)
+        space = temporal_times_space()
 
         def flat(batch):
             return np.zeros((len(batch), 5))
@@ -367,7 +367,7 @@ class TestMinimizeLhs:
                 minimize_lhs(space, canonical_scenario(5), evaluator, starts=starts)
 
     def test_mismatched_scenario_rejected(self):
-        space = temporal_times_space(5)
+        space = temporal_times_space()
         with pytest.raises(PreconditionError):
             minimize_lhs(space, canonical_scenario(4), temporal_times_evaluator, starts=2)
 
