@@ -8,11 +8,14 @@ A thin wrapper around ``perfbench/run.py``: it measures nothing itself. For each
 workload in ``BENCHMARK.json`` it runs the benchmark command ``--runs`` times
 in both checkouts, round r with seed ``--seed + r`` on both sides and the
 checkouts taking turns at running first. Then it runs one traced run
-(``--trace 1``) per workload in each checkout. The output holds the
-machine (nproc, Python, numpy, scipy), each checkout's commit and a digest of
-its ``src/qcycle`` sources, each end-to-end metric's median, quartiles and
-raw values, the traced run's per-layer metrics, and how many rounds the
-change won on each metric. The checkouts should sit in directories whose
+(``--trace 1``) per workload in each checkout, and last the acceptance suite
+(``pytest tests/test_acceptance.py -q -s``) in the change checkout. The
+output holds the machine (nproc, Python, numpy, scipy), each checkout's
+commit and a digest of its ``src/qcycle`` sources, each end-to-end metric's
+median, quartiles and raw values, the traced run's per-layer metrics, how
+many rounds the change won on each metric, and each acceptance criterion's
+elapsed time against its budget, read from the criterion lines that end in
+``in X.XXs of Ys``. The checkouts should sit in directories whose
 paths have the same length: the benchmark's reference kernel runs at a speed
 that depends on the process's memory layout.
 """
@@ -24,12 +27,15 @@ import hashlib
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# "PASS criterion 5: <detail>, in 0.38s of 5s", as tests/test_acceptance.py prints it.
+CRITERION_LINE = re.compile(r"(PASS|FAIL) (criterion \d+): .* in (\d+(?:\.\d+)?)s of (\d+(?:\.\d+)?)s$")
 
 
 def machine() -> dict:
@@ -69,6 +75,23 @@ def run_once(command: list[str], path: Path, workload: str, seed: int, seconds: 
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(argv)} in {path} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def acceptance_budgets(path: Path) -> dict:
+    """Exit code of the acceptance suite in checkout ``path`` and each criterion's time against its budget."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(path / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "tests/test_acceptance.py", "-q", "-s", "-p", "no:cacheprovider"],
+        cwd=path, capture_output=True, text=True, env=env,
+    )
+    criteria = {}
+    for line in proc.stdout.splitlines():
+        m = CRITERION_LINE.search(line)
+        if m:
+            verdict, name, elapsed, budget = m.groups()
+            criteria[name] = {"passed": verdict == "PASS", "elapsed_s": float(elapsed), "budget_s": float(budget)}
+    return {"exit_code": proc.returncode, "criteria": criteria}
 
 
 def summary(values: list[float]) -> dict:
@@ -144,6 +167,10 @@ def main(argv=None) -> int:
             for name in parent if name in better
         }
         record["workloads"][workload] = entry
+    record["acceptance"] = acceptance_budgets(sides["change"])
+    print("acceptance: " + ", ".join(
+        f"{name} {c['elapsed_s']:.2f}s of {c['budget_s']:g}s" for name, c in record["acceptance"]["criteria"].items()
+    ), flush=True)
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

@@ -16,14 +16,15 @@ diagonal holds the history probabilities; two histories are consistent when
 Re D(e, g) vanishes; and the interference term of a starred pattern is
 2 Re D between its two completions, which is exactly how far the starred
 marginal fails to equal the sum of the fine-grained probabilities.
-``marginal_probability`` computes starred marginals by the independent route
-of omitting the unmeasured slot.
 
 ``lg_decomposition`` assembles the full account for the three-measurement
 inequality <X1 X2> + <X2 X3> + <X1 X3> >= -1 from one D: correlators through
-two independent routes, all interference terms, the equivalent
+two independent routes (the 12 starred marginals that omit the unmeasured
+slot, formed in one stacked chain product, and the symmetrized products of
+the slot observables), all interference terms, the equivalent
 diagonal-plus-interference form, and the consistency classification of the
-history pairs that can carry the violation.
+history pairs that can carry the violation. The per-pattern
+``marginal_probability`` is the test oracle in ``tests/quantum_oracles.py``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .linalg import Observable, State, dag, identity, maximally_mixed, real_trace
+from .linalg import Observable, State, identity, maximally_mixed
 from .quantum import anticommutator_correlation, xz_observable
 
 SLOTS = 3
@@ -97,17 +98,6 @@ def decoherence_functional(family: HistoryFamily) -> np.ndarray:
     return d
 
 
-def marginal_probability(family: HistoryFamily, pattern) -> float:
-    """Probability of a pattern whose starred (None) slots go unmeasured (omitted)."""
-    if len(pattern) != SLOTS:
-        raise PreconditionError(f"pattern needs exactly {SLOTS} outcomes")
-    chain = identity(family.state.dim)
-    for slot, o in enumerate(pattern):
-        if o is not STAR:
-            chain = family.projector(slot, o) @ chain
-    return real_trace(chain @ family.state.matrix @ dag(chain))
-
-
 def classify_consistency(value: float) -> str:
     """Three-way label so near-threshold values stay visible."""
     v = abs(value)
@@ -118,15 +108,28 @@ def classify_consistency(value: float) -> str:
     return "inconsistent"
 
 
-def _pair_correlator_via_marginals(family: HistoryFamily, slot_a: int, slot_b: int) -> float:
-    """<X_a X_b> from starred-marginal probabilities of the unused slot."""
-    total = 0.0
-    for ka in (1, -1):
-        for kb in (1, -1):
-            pattern = [STAR] * SLOTS
-            pattern[slot_a], pattern[slot_b] = ka, kb
-            total += ka * kb * marginal_probability(family, pattern)
-    return total
+# Slot pairs (earlier, later) of the three correlators <X1 X2>, <X2 X3>, <X1 X3>,
+# and the outcomes of each pair's four starred marginals in summation order.
+CORRELATOR_PAIRS = ((0, 1), (1, 2), (0, 2))
+PAIR_OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _pair_marginals(family: HistoryFamily) -> list[list[float]]:
+    """Starred marginals p(ka, kb) of each slot pair in ``CORRELATOR_PAIRS``, in ``PAIR_OUTCOMES`` order.
+
+    Each marginal omits the unused slot: its chain is P_b P_a and its
+    probability Tr(C rho C^dag). All 12 chains are formed in one stacked
+    product; an imaginary part beyond 1e-10 is an error.
+    """
+    first = np.stack([family.projector(a, ka) for a, _ in CORRELATOR_PAIRS for ka, _ in PAIR_OUTCOMES])
+    second = np.stack([family.projector(b, kb) for _, b in CORRELATOR_PAIRS for _, kb in PAIR_OUTCOMES])
+    chains = second @ (first @ identity(family.state.dim))
+    traces = ((chains @ family.state.matrix) @ chains.conj().transpose(0, 2, 1)).trace(axis1=1, axis2=2)
+    worst = np.abs(traces.imag).max()
+    if worst > 1e-10:
+        raise VerificationError(f"marginal probability has imaginary part {worst:.3e} beyond 1e-10")
+    p = traces.real.tolist()
+    return [p[k : k + len(PAIR_OUTCOMES)] for k in range(0, len(p), len(PAIR_OUTCOMES))]
 
 
 def _completion(pattern, value: int) -> int:
@@ -167,9 +170,13 @@ def lg_decomposition(family: HistoryFamily) -> LgDecomposition:
     """
     re = decoherence_functional(family).real.tolist()
     probabilities = {h: re[i][i] for i, h in enumerate(FULL_HISTORIES)}
-    c12 = _pair_correlator_via_marginals(family, 0, 1)
-    c23 = _pair_correlator_via_marginals(family, 1, 2)
-    c13 = _pair_correlator_via_marginals(family, 0, 2)
+    correlators = []
+    for marginals in _pair_marginals(family):
+        total = 0.0
+        for (ka, kb), p in zip(PAIR_OUTCOMES, marginals):
+            total += ka * kb * p
+        correlators.append(total)
+    c12, c23, c13 = correlators
     rho, obs = family.state, family.observables
     anti = (
         anticommutator_correlation(rho, obs[0], obs[1]),

@@ -12,10 +12,10 @@ the inverse conjugation R M R^dag to cos(2t) sigma_z - sin(2t) sigma_x).
 Every builder in the package uses this one convention.
 
 Two frozen types carry validated inputs. ``Observable(m)`` is a +-1
-measurement: it checks that m is Hermitian with m^2 = I and derives its
-spectral projectors (I +- m)/2, so every scenario (contextual, temporal,
-bipartite, consistent histories) reads the same object. ``State`` is a
-density matrix.
+measurement: it checks once that m is Hermitian with m^2 = I and derives its
+spectral projectors (I +- m)/2 on first use, so every scenario (contextual,
+temporal, bipartite, consistent histories) reads the same object. ``State``
+is a density matrix.
 
 The helpers use ndarray methods and broadcasting rather than numpy's
 module-level wrappers (``np.kron``, ``np.trace``, ``np.max``,
@@ -27,7 +27,8 @@ wrapper it replaces, so every result is bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,17 @@ def as_matrix(m) -> np.ndarray:
 
 def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
+
+
+_FROZEN_IDENTITIES: dict[int, np.ndarray] = {}
+
+
+def _frozen_identity(dim: int) -> np.ndarray:
+    """A read-only ``identity(dim)`` shared by every caller, made once per dimension."""
+    eye = _FROZEN_IDENTITIES.get(dim)
+    if eye is None:
+        eye = _FROZEN_IDENTITIES[dim] = _freeze(identity(dim))
+    return eye
 
 
 def dag(m) -> np.ndarray:
@@ -149,25 +161,28 @@ def _frozen_matrix(m) -> np.ndarray:
 class Observable:
     """A Hermitian observable with m^2 = I and its spectral projectors.
 
-    The projectors (I +- m)/2 are derived from ``matrix``: the closed form
-    holds for any +-1 spectrum, so the two checks on ``matrix`` validate
-    them too.
+    The projectors (I +- m)/2 are derived from ``matrix`` on first use and
+    then kept: the closed form holds for any +-1 spectrum, so the two checks
+    on ``matrix`` validate them too.
     """
 
     matrix: np.ndarray
-    proj_plus: np.ndarray = field(init=False)
-    proj_minus: np.ndarray = field(init=False)
 
     def __post_init__(self):
         m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if not is_hermitian(m, HERMITIAN_TOL):
+        if max_abs(m - m.conj().T) > HERMITIAN_TOL:
             raise PreconditionError("observable matrix is not Hermitian")
-        eye = identity(m.shape[0])
-        if max_abs(m @ m - eye) > OBSERVABLE_TOL:
+        if max_abs(m @ m - _frozen_identity(m.shape[0])) > OBSERVABLE_TOL:
             raise PreconditionError("observable does not square to the identity")
-        object.__setattr__(self, "proj_plus", _freeze((eye + m) / 2.0))
-        object.__setattr__(self, "proj_minus", _freeze((eye - m) / 2.0))
+
+    @cached_property
+    def proj_plus(self) -> np.ndarray:
+        return _freeze((_frozen_identity(self.dim) + self.matrix) / 2.0)
+
+    @cached_property
+    def proj_minus(self) -> np.ndarray:
+        return _freeze((_frozen_identity(self.dim) - self.matrix) / 2.0)
 
     @property
     def dim(self) -> int:

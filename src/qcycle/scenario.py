@@ -29,7 +29,7 @@ from .linalg import Observable, State
 
 # Most cycle nodes one command builds from a number (chained-N, bound --n, the
 # n range of a chained scan). On a 2-core host build("chained-10000") takes
-# 0.47 s, a scan of 3..140 (9867 nodes) 0.54 s, both at 42 MB peak RSS.
+# 0.19-0.28 s, a scan of 3..140 (9867 nodes) 0.24-0.32 s, both at 45 MB peak RSS.
 CYCLE_CAP = 10_000
 
 
@@ -233,7 +233,8 @@ def scenario_from_text(text: str) -> ScenarioFile:
 
 def load_scenario(path) -> ScenarioFile:
     try:
-        text = Path(path).read_text()
+        # utf-8-sig drops a leading byte-order mark, which would otherwise prefix the first key.
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read scenario file {str(path)!r}: {exc}") from None
     return scenario_from_text(text)

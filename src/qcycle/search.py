@@ -344,10 +344,6 @@ def nelder_mead(
     vertex_offsets, trial_offsets = (ids * (dim + 1))[:, None], ids * 3
     moves = np.array([1.0, 2.0, -0.5])[:, None]  # reflect, expand, contract
 
-    def freeze(mask):
-        best = np.argmin(values[mask], axis=1)
-        out_points[ids[mask]], out_values[ids[mask]] = points[mask, best], values[mask, best]
-
     for _ in range(max_iter):
         order = np.argsort(values, axis=1, kind="stable")
         order += vertex_offsets[: ids.size]
@@ -357,10 +353,13 @@ def nelder_mead(
             near = np.flatnonzero(done)
             simplex = points[near]
             size = np.abs(simplex[:, 1:] - simplex[:, :1]).reshape(near.size, -1).max(axis=1)
-            done[near] = size <= x_tol
-            if np.count_nonzero(done):
-                freeze(done)
-                keep = ~done
+            converged = size <= x_tol
+            if np.count_nonzero(converged):
+                # Sorted rows: a converged start's best vertex is column 0.
+                frozen = near[converged]
+                out_points[ids[frozen]], out_values[ids[frozen]] = points[frozen, 0], values[frozen, 0]
+                done[near] = converged
+                keep = np.flatnonzero(~done)
                 ids, points, values = ids[keep], points[keep], values[keep]
                 if not ids.size:
                     break
@@ -393,7 +392,9 @@ def nelder_mead(
             # A shrinking start keeps its shrunk worst vertex, not the contraction.
             worst[shrinking], f_worst[shrinking] = shrunk[:, -1], f_shrunk[:, -1]
         points[:, -1], values[:, -1] = worst, f_worst
-    freeze(np.ones(ids.size, bool))
+    best = np.argmin(values, axis=1)
+    rows = np.arange(ids.size)
+    out_points[ids], out_values[ids] = points[rows, best], values[rows, best]
     return out_points, out_values
 
 

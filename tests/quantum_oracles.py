@@ -9,6 +9,10 @@ measure), apart from the Heisenberg route the package uses.
 ``repeat_agreement_probability`` measures the operational non-invasiveness
 behind joint measurability. ``family_from_protocol`` builds a history family
 from a three-time protocol through the same Heisenberg observables.
+``correlation_spatial``, ``bipartite_single`` and ``marginal_probability``
+compute one bipartite correlator, one bipartite single and one starred
+history marginal at a time, the oracles of the stacked routes in
+``qcycle.quantum`` and ``lg_decomposition``.
 """
 
 from __future__ import annotations
@@ -16,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from qcycle.errors import PreconditionError
-from qcycle.histories import SLOTS, HistoryFamily
-from qcycle.linalg import Observable, State, dag, real_trace, su2_rotation
+from qcycle.histories import SLOTS, STAR, HistoryFamily
+from qcycle.linalg import Observable, State, dag, identity, kron, real_trace, su2_rotation
 from qcycle.quantum import heisenberg_observable
-from qcycle.scenario import CorrelationVector, TemporalProtocol, canonical_scenario
+from qcycle.scenario import BipartiteConfig, CorrelationVector, TemporalProtocol, canonical_scenario
 
 DEAD_BRANCH = 1e-14
 
@@ -77,6 +81,29 @@ def correlation_sequential(
     return value, SequentialOutcomeTable(p_first, cond)
 
 
+def correlation_spatial(cfg: BipartiteConfig, i: int, j: int) -> float:
+    """Tr(rho (A_i x B_j)) for a bipartite configuration."""
+    if not (0 <= i < len(cfg.alice) and 0 <= j < len(cfg.bob)):
+        raise PreconditionError(f"observable index ({i}, {j}) out of range")
+    return real_trace(cfg.state.matrix @ kron(cfg.alice[i].matrix, cfg.bob[j].matrix))
+
+
+def bipartite_single(cfg: BipartiteConfig, party: str, idx: int) -> float:
+    """Tr(rho (A_idx x I)) for party "A", Tr(rho (I x B_idx)) for party "B"."""
+    eye_a, eye_b = identity(cfg.alice[0].dim), identity(cfg.bob[0].dim)
+    op = kron(cfg.alice[idx].matrix, eye_b) if party == "A" else kron(eye_a, cfg.bob[idx].matrix)
+    return real_trace(cfg.state.matrix @ op)
+
+
+def marginal_probability(family: HistoryFamily, pattern) -> float:
+    """Probability of a pattern whose starred (None) slots go unmeasured (omitted)."""
+    if len(pattern) != SLOTS:
+        raise PreconditionError(f"pattern needs exactly {SLOTS} outcomes")
+    chain = identity(family.state.dim)
+    for slot, o in enumerate(pattern):
+        if o is not STAR:
+            chain = family.projector(slot, o) @ chain
+    return real_trace(chain @ family.state.matrix @ dag(chain))
 
 
 def repeat_agreement_probability(rho: State, x: Observable, y: Observable) -> float:

@@ -19,10 +19,10 @@ from conftest import (
     random_qubit_observable,
     random_state,
 )
-from quantum_oracles import correlation_sequential
+from quantum_oracles import correlation_sequential, marginal_probability
 from witness_oracle import witness_correlators
 from qcycle.cli import main
-from qcycle.histories import decoherence_functional, lg_decomposition, marginal_probability
+from qcycle.histories import decoherence_functional, lg_decomposition
 from qcycle.jpd import correlators_to_marginals, jpd_feasible
 from qcycle.quantum import anticommutator_correlation
 from qcycle.report import parse_structured
@@ -48,10 +48,11 @@ class Budget:
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
 
-    def check(self) -> float:
+    def check(self) -> str:
+        """Assert the budget held; the time used, as each criterion line ends: ``in X.XXs of Ys``."""
         elapsed = self.elapsed()
         assert elapsed < self.limit, f"budget {self.limit}s exceeded: {elapsed:.2f}s"
-        return elapsed
+        return f"in {elapsed:.2f}s of {self.limit:g}s"
 
 
 def run_structured(capsys, *argv):
@@ -74,10 +75,10 @@ def test_criterion_1_classical_bounds(capsys):
     assert fields["classical_bound"] == "-1"
     for n in range(3, 17):
         assert classical_bound(canonical_scenario(n)) == -n + 2
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
-        report("criterion 1", True, f"bounds exact for n=3..16 in {elapsed:.2f}s")
+        report("criterion 1", True, f"bounds exact for n=3..16 {spent}")
 
 
 def test_criterion_2_temporal_optimum(capsys):
@@ -88,10 +89,10 @@ def test_criterion_2_temporal_optimum(capsys):
     ok = abs(lhs - FIVE_CYCLE_OPTIMUM) <= 1e-6 and all(
         abs(c - PER_TERM) <= 1e-6 for c in correlators
     )
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
-        report("criterion 2", ok, f"lhs={lhs:.9f} in {elapsed:.2f}s")
+        report("criterion 2", ok, f"lhs={lhs:.9f} {spent}")
 
 
 def test_criterion_3_contextual_optimum(capsys):
@@ -100,10 +101,10 @@ def test_criterion_3_contextual_optimum(capsys):
     lhs = float(fields["lhs"])
     norms = [float(v) for v in fields["adjacent_commutator_norms"].split()]
     ok = abs(lhs - CONTEXTUAL_OPTIMUM) <= 1e-6 and max(norms) <= 1e-10
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
-        report("criterion 3", ok, f"lhs={lhs:.9f}, max commutator {max(norms):.1e}, {elapsed:.2f}s")
+        report("criterion 3", ok, f"lhs={lhs:.9f}, max commutator {max(norms):.1e}, {spent}")
 
 
 def test_criterion_4_spatial_equivalence(capsys):
@@ -113,10 +114,10 @@ def test_criterion_4_spatial_equivalence(capsys):
     gap = abs(float(spatial["lhs"]) - float(temporal["lhs"]))
     pairs = [float(v) for v in spatial["perfect_pairs"].split()]
     ok = gap <= 1e-9 and all(abs(p - 1.0) <= 1e-10 for p in pairs)
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
-        report("criterion 4", ok, f"|spatial-temporal|={gap:.1e}, worst pair dev {max(abs(p-1) for p in pairs):.1e}, {elapsed:.2f}s")
+        report("criterion 4", ok, f"|spatial-temporal|={gap:.1e}, worst pair dev {max(abs(p-1) for p in pairs):.1e}, {spent}")
 
 
 def test_criterion_5_chained_curve(capsys):
@@ -139,11 +140,11 @@ def test_criterion_5_chained_curve(capsys):
         worst_per_node = max(worst_per_node, error / n)
         assert int(fields["classical_bound"]) == -n + 2
         assert fields["violated"] == "true"
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
         report("criterion 5", True, f"n=3..12 within {worst:.1e} of closed form, n=100..10^4 within "
-               f"{worst_per_node:.1e}*n, in {elapsed:.2f}s")
+               f"{worst_per_node:.1e}*n, {spent}")
 
 
 def test_criterion_6_lp_consistency(capsys):
@@ -170,13 +171,13 @@ def test_criterion_6_lp_consistency(capsys):
             scen = CycleScenario(n, signs)
             lhs = inequality_lhs(CorrelationVector(scen, corr))
             assert lhs >= classical_bound(scen) - 1e-7
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
         report(
             "criterion 6", True,
             f"temporal infeasible, boundary witness residual {witness.max_constraint_residual:.1e}, "
-            f"{feasible_count}/500 feasible sets sound, {elapsed:.1f}s",
+            f"{feasible_count}/500 feasible sets sound, {spent}",
         )
 
 
@@ -212,13 +213,13 @@ def test_criterion_7_histories_identities(capsys):
         and violations > 50
         and witnesses == violations
     )
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
         report(
             "criterion 7", ok,
             f"completeness {worst_total:.1e}, last-slot {worst_last:.1e}, marginal {worst_marginal:.1e}, "
-            f"{witnesses}/{violations} violations witnessed, {elapsed:.1f}s",
+            f"{witnesses}/{violations} violations witnessed, {spent}",
         )
 
 
@@ -232,10 +233,10 @@ def test_criterion_8_oracle_agreement(capsys):
         seq, _ = correlation_sequential(rho, x, y)
         worst = max(worst, abs(seq - anticommutator_correlation(rho, x, y)))
     ok = worst <= 1e-10
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
-        report("criterion 8", ok, f"max |sequential - symmetrized| = {worst:.1e} over 1000 draws, {elapsed:.1f}s")
+        report("criterion 8", ok, f"max |sequential - symmetrized| = {worst:.1e} over 1000 draws, {spent}")
 
 
 def test_criterion_9_optimizer_recovery(capsys):
@@ -256,12 +257,12 @@ def test_criterion_9_optimizer_recovery(capsys):
         assert spread <= 1e-6, f"{kind}: seed spread {spread:.1e}"
         assert off_target <= 1e-6, f"{kind}: off target by {off_target:.1e}"
         results[kind] = (spread, off_target)
-    elapsed = budget.check()
+    spent = budget.check()
     capsys.readouterr()
     with capsys.disabled():
         report(
             "criterion 9", True,
             "10-seed spreads "
             + ", ".join(f"{k} {s:.1e} (off {o:.1e})" for k, (s, o) in results.items())
-            + f", {elapsed:.1f}s",
+            + f", {spent}",
         )

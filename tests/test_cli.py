@@ -330,6 +330,21 @@ class TestMalformedInput:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [("bound", "--file"), ("feasibility",)])
+    def test_byte_order_mark_is_not_part_of_the_first_key(self, capsys, tmp_path, monkeypatch, argv):
+        # An editor's UTF-8 BOM before "n = 5" used to read as the key "\ufeffn".
+        text = "n = 5\nsigns = -1 -1 -1 -1 -1\ncorrelators = -0.6 -0.6 -0.6 -0.6 -0.6\n"
+        bodies = []
+        for folder, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "scen.txt").write_text(text, encoding=encoding)
+            monkeypatch.chdir(tmp_path / folder)
+            code, out = run_cli(capsys, *argv, "scen.txt", "--format", "structured")
+            assert code == 0, out
+            bodies.append([line for line in out.splitlines() if not line.startswith("#")])
+        assert (tmp_path / "bom" / "scen.txt").read_bytes().startswith(b"\xef\xbb\xbfn = 5")
+        assert bodies[0] == bodies[1] and bodies[0]
+
+    @pytest.mark.parametrize("argv", [("bound", "--file"), ("feasibility",)])
     def test_missing_file_is_usage_error(self, capsys, tmp_path, argv):
         code, _ = run_cli(capsys, *argv, str(tmp_path / "missing.txt"))
         assert code == 2

@@ -7,19 +7,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import completions, count_constructions, random_family, random_state
-from quantum_oracles import family_from_protocol
+from conftest import (
+    completions,
+    count_constructions,
+    random_family,
+    random_mixed_state,
+    random_pure_state,
+    random_qubit_observable,
+    random_state,
+)
+from quantum_oracles import family_from_protocol, marginal_probability
 from qcycle import histories
 from qcycle.errors import PreconditionError, VerificationError
 from qcycle.histories import (
+    CORRELATOR_PAIRS,
     FULL_HISTORIES,
+    PAIR_OUTCOMES,
+    STAR,
     HistoryFamily,
+    _pair_marginals,
     chain_operator,
     classify_consistency,
     decoherence_functional,
     family_from_bloch_angles,
     lg_decomposition,
-    marginal_probability,
 )
 from qcycle.linalg import (
     SIGMA_X,
@@ -334,3 +345,34 @@ class TestFamilyBuilders:
         for slot, obs in enumerate(fam.observables):
             assert fam.projector(slot, 1) is obs.proj_plus
             assert fam.projector(slot, -1) is obs.proj_minus
+
+
+class TestStackedPairMarginals:
+    """The 12 starred marginals of one stacked chain product equal the per-pattern oracle byte for byte."""
+
+    @pytest.mark.parametrize("make_state", [random_pure_state, random_mixed_state], ids=["pure", "mixed"])
+    def test_marginals_and_correlators_match_the_oracle(self, make_state):
+        rng = np.random.default_rng(404)
+        for _ in range(60):
+            fam = HistoryFamily(make_state(rng), tuple(random_qubit_observable(rng) for _ in range(3)))
+            expected = []
+            for a, b in CORRELATOR_PAIRS:
+                row = []
+                for ka, kb in PAIR_OUTCOMES:
+                    pattern = [STAR] * 3
+                    pattern[a], pattern[b] = ka, kb
+                    row.append(marginal_probability(fam, pattern))
+                expected.append(row)
+            assert np.array(_pair_marginals(fam)).tobytes() == np.array(expected).tobytes()
+            # <X_a X_b> = p(+,+) - p(+,-) - p(-,+) + p(-,-), summed in that order from 0.0.
+            correlators = [0.0 + pp - pm - mp + mm for pp, pm, mp, mm in expected]
+            assert np.array(lg_decomposition(fam).correlators).tobytes() == np.array(correlators).tobytes()
+
+    def test_imaginary_part_beyond_tolerance_rejected(self):
+        fam = family_from_bloch_angles(LG_ANGLES)
+        fake = SimpleNamespace(
+            projector=fam.projector,
+            state=SimpleNamespace(matrix=np.diag([0.5, 0.5 + 1e-3j]), dim=2),
+        )
+        with pytest.raises(VerificationError, match="imaginary part"):
+            _pair_marginals(fake)

@@ -318,6 +318,150 @@ class TestObservableAndState:
         assert real_trace(state.matrix) == pytest.approx(1.0, abs=1e-12)
 
 
+FUZZ_DTYPES = (np.int64, np.float32, np.float64, np.complex64, np.complex128)
+FUZZ_LAYOUTS = ("c", "f", "transposed", "strided", "readonly", "broadcast", "matrix")
+
+
+def fuzz_observable(rng, dim: int, dtype) -> np.ndarray:
+    """A signed involutive permutation: Hermitian, m @ m = I exactly, exact in every dtype.
+
+    Each transposition (i j) carries s or, for complex dtypes, i*s and its conjugate.
+    """
+    m = np.zeros((dim, dim), dtype=complex)
+    order = rng.permutation(dim)
+    complex_ok = np.issubdtype(dtype, np.complexfloating)
+    k = 0
+    while k < dim:
+        i = order[k]
+        if k + 1 < dim and rng.random() < 0.5:
+            j = order[k + 1]
+            entry = rng.choice((1, -1)) * (1j if complex_ok and rng.random() < 0.5 else 1)
+            m[i, j], m[j, i] = entry, np.conj(entry)
+            k += 2
+        else:
+            m[i, i] = rng.choice((1, -1))
+            k += 1
+    return m if complex_ok else m.real
+
+
+def fuzz_state(rng, dim: int, dtype) -> np.ndarray:
+    """A density matrix exact in every dtype: a basis projector, a dyadic diagonal or (|i> + i|j>)/sqrt(2)."""
+    rho = np.zeros((dim, dim), dtype=complex)
+    i = int(rng.integers(dim))
+    if np.issubdtype(dtype, np.integer) or dim == 1:
+        rho[i, i] = 1.0
+    elif np.issubdtype(dtype, np.complexfloating) and rng.random() < 0.5:
+        j = (i + 1 + int(rng.integers(dim - 1))) % dim
+        rho[i, i] = rho[j, j] = 0.5
+        rho[i, j], rho[j, i] = -0.5j, 0.5j
+    else:
+        weights = rng.permutation([0.5, 0.25, 0.25] + [0.0] * (dim - 3) if dim >= 3 else [0.5, 0.5])
+        rho[np.diag_indices(dim)] = weights
+    return rho if np.issubdtype(dtype, np.complexfloating) else rho.real
+
+
+def fuzz_layout(m: np.ndarray, dtype, layout: str) -> tuple[np.ndarray, np.ndarray]:
+    """(input, the array that owns its memory) holding the values of ``m`` as ``dtype`` in ``layout``."""
+    a = np.array(m, dtype=dtype)
+    if layout == "c":
+        return a, a
+    if layout == "f":
+        f = np.asfortranarray(a)
+        return f, f
+    if layout == "transposed":
+        base = np.ascontiguousarray(a.T)
+        return base.T, base
+    if layout == "strided":
+        base = np.zeros((2 * a.shape[0], 3 * a.shape[1]), dtype=dtype)
+        base[::2, ::3] = a
+        return base[::2, ::3], base
+    if layout == "readonly":
+        a.setflags(write=False)
+        return a, a
+    if layout == "broadcast":
+        return np.broadcast_to(a, (3, *a.shape))[1], a
+    return np.asmatrix(a), a
+
+
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix inputs
+class TestValidatedTypesAliasingFuzz:
+    """Seeded fuzz: ``Observable`` and ``State`` neither mutate nor alias the caller's array.
+
+    Every dtype meets every layout: C and F order, a transposed and a strided
+    view, a read-only array, a ``np.broadcast_to`` view and an ``np.matrix``.
+    """
+
+    @staticmethod
+    def cases(dtype, layout, build):
+        rng = np.random.default_rng([FUZZ_DTYPES.index(dtype), FUZZ_LAYOUTS.index(layout)])
+        for _ in range(6):
+            m = build(rng, int(rng.integers(1, 5)), dtype)
+            inp, owner = fuzz_layout(m, dtype, layout)
+            yield m, inp, owner
+
+    @staticmethod
+    def flags(inp, owner) -> tuple:
+        return inp.tobytes(), inp.flags.writeable, owner.flags.writeable
+
+    @staticmethod
+    def assert_untouched_and_unaliased(obj, inp, owner, flags: tuple):
+        assert (inp.tobytes(), inp.flags.writeable, owner.flags.writeable) == flags
+        assert not obj.matrix.flags.writeable
+        assert not np.shares_memory(obj.matrix, inp) and not np.shares_memory(obj.matrix, owner)
+        assert obj.matrix.tobytes() == np.asarray(inp, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("layout", FUZZ_LAYOUTS)
+    @pytest.mark.parametrize("dtype", FUZZ_DTYPES, ids=lambda t: np.dtype(t).name)
+    def test_observable(self, dtype, layout):
+        for m, inp, owner in self.cases(dtype, layout, fuzz_observable):
+            flags = self.flags(inp, owner)
+            obs = Observable(inp)
+            self.assert_untouched_and_unaliased(obs, inp, owner, flags)
+            eye = identity(obs.dim)
+            for proj, closed_form in ((obs.proj_plus, (eye + obs.matrix) / 2.0),
+                                      (obs.proj_minus, (eye - obs.matrix) / 2.0)):
+                assert proj.tobytes() == closed_form.tobytes() and not proj.flags.writeable
+                assert not np.shares_memory(proj, owner)
+            assert obs.proj_plus is obs.proj_plus and obs.proj_minus is obs.proj_minus
+            assert obs.projector(1) is obs.proj_plus and obs.projector(-1) is obs.proj_minus
+            if owner.flags.writeable:
+                owner[...] = 7
+                assert obs.matrix.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("layout", FUZZ_LAYOUTS)
+    @pytest.mark.parametrize("dtype", FUZZ_DTYPES, ids=lambda t: np.dtype(t).name)
+    def test_state(self, dtype, layout):
+        for m, inp, owner in self.cases(dtype, layout, fuzz_state):
+            flags = self.flags(inp, owner)
+            state = State(inp)
+            self.assert_untouched_and_unaliased(state, inp, owner, flags)
+            if owner.flags.writeable:
+                owner[...] = 7
+                assert state.matrix.tobytes() == np.asarray(m, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("layout", FUZZ_LAYOUTS)
+    @pytest.mark.parametrize("dtype", FUZZ_DTYPES, ids=lambda t: np.dtype(t).name)
+    def test_invalid_inputs_rejected_untouched(self, dtype, layout):
+        rng = np.random.default_rng([7, FUZZ_DTYPES.index(dtype), FUZZ_LAYOUTS.index(layout)])
+        for _ in range(4):
+            dim = int(rng.integers(2, 5))
+            valid = fuzz_observable(rng, dim, dtype)
+            skewed = valid.copy()
+            skewed[0, 1] += 1  # no longer Hermitian
+            bad = [(Observable, skewed, "not Hermitian"), (Observable, 2 * valid, "square to the identity"),
+                   (State, skewed, "not Hermitian")]
+            if not np.issubdtype(dtype, np.integer):
+                broken = valid.copy()
+                broken[tuple(rng.integers(dim, size=2))] = rng.choice((np.nan, np.inf, -np.inf))
+                bad += [(Observable, broken, "NaN or Inf"), (State, broken, "NaN or Inf")]
+            for cls, m, message in bad:
+                inp, owner = fuzz_layout(m, dtype, layout)
+                flags = self.flags(inp, owner)
+                with pytest.raises(PreconditionError, match=message):
+                    cls(inp)
+                assert self.flags(inp, owner) == flags
+
+
 class TestMatrixDump:
     @given(seed=st.integers(0, 10_000), dim=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import count_constructions, random_qubit_observable, random_state, random_unit3
 from quantum_oracles import (
+    bipartite_single,
     correlation_sequential,
+    correlation_spatial,
     repeat_agreement_probability,
     temporal_correlations_schrodinger,
 )
-from qcycle.errors import PreconditionError
+from qcycle.errors import PreconditionError, VerificationError
 from qcycle.linalg import (
     SIGMA_X,
     SIGMA_Z,
@@ -24,13 +26,14 @@ from qcycle.linalg import (
     pure_state,
 )
 from qcycle.quantum import (
+    _bipartite_singles,
+    _product_means,
     anticommutator_correlation,
     build,
     chained_configuration,
     contextual_correlations,
     contextual_kcbs_configuration,
     correlation_joint,
-    correlation_spatial,
     heisenberg_observable,
     perfect_pair_values,
     spatial_correlations,
@@ -398,3 +401,64 @@ class TestValidatedObjectCounts:
     def test_observables_and_states_per_build(self, name, counts):
         for _ in range(2):
             assert count_constructions(lambda: build(name)) == counts
+
+
+def random_local_observable(rng, dim: int) -> Observable:
+    """2|v><v| - I for a random complex unit vector v: Hermitian, squares to I."""
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    v /= math.sqrt((v.conj() @ v).real)
+    return Observable(2.0 * np.outer(v, v.conj()) - identity(dim))
+
+
+def as_bytes(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestStackedProductMeans:
+    """The stacked kron-matmul-trace routes equal the per-term oracles byte for byte."""
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2)], ids=["qubit-qubit", "qubit-qutrit", "qutrit-qubit"])
+    @pytest.mark.parametrize("terms", [1, 2, 3, 5, 13, 40])
+    def test_random_configurations(self, dims, terms):
+        da, db = dims
+        rng = np.random.default_rng([da, db, terms])
+        for _ in range(5):
+            alice = tuple(random_local_observable(rng, da) for _ in range(int(rng.integers(1, 6))))
+            bob = tuple(random_local_observable(rng, db) for _ in range(int(rng.integers(1, 6))))
+            pairing = tuple(
+                (int(rng.integers(len(alice))), int(rng.integers(len(bob))), int(rng.choice((1, -1))))
+                for _ in range(terms)
+            )
+            cfg = BipartiteConfig(random_state(rng, da * db), alice, bob, pairing)
+            expected = [correlation_spatial(cfg, i, j) for i, j, _ in pairing]
+            a = np.stack([alice[i].matrix for i, _, _ in pairing])
+            b = np.stack([bob[j].matrix for _, j, _ in pairing])
+            assert as_bytes(_product_means(cfg.state.matrix, a, b)) == as_bytes(expected)
+            if terms >= 3:  # a cycle scenario needs three terms
+                assert as_bytes(spatial_correlations(cfg).values) == as_bytes(expected)
+            shared = range(min(len(alice), len(bob)))
+            assert as_bytes(perfect_pair_values(cfg)) == as_bytes([correlation_spatial(cfg, i, i) for i in shared])
+            nodes = [
+                ("A", int(rng.integers(len(alice)))) if rng.random() < 0.5 else ("B", int(rng.integers(len(bob))))
+                for _ in range(terms)
+            ]
+            singles = [bipartite_single(cfg, party, idx) for party, idx in nodes]
+            assert as_bytes(_bipartite_singles(cfg, nodes)) == as_bytes(singles)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 24, 25])
+    def test_chained_builds(self, n):
+        cfg = chained_configuration(n)
+        result = build(f"chained-{n}")
+        expected = [correlation_spatial(cfg, i, j) for i, j, _ in cfg.pairing]
+        assert as_bytes(result.correlations.values) == as_bytes(expected)
+
+    def test_imaginary_part_beyond_tolerance_rejected(self):
+        a = np.stack([SIGMA_Z, identity(2)])
+        b = np.stack([identity(2), SIGMA_X])
+        rho = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
+        assert _product_means(rho, a, b) == [0.5, 0.0]
+        rho[3, 3] = 2e-10j  # Tr(rho (Z x I)) picks up -2e-10j
+        with pytest.raises(VerificationError, match="imaginary part"):
+            _product_means(rho, a, b)
+        rho[3, 3] = 0.5e-10j  # within 1e-10: accepted, real part returned
+        assert _product_means(rho, a, b)[0] == 0.5

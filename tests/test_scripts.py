@@ -32,7 +32,7 @@ def test_script_runs(tmp_path, script, args):
 
 def test_bench_record_smoke(tmp_path):
     # One 1-second optimize run plus its traced run per side, with this
-    # checkout as both parent and change.
+    # checkout as both parent and change, then the acceptance suite.
     out = tmp_path / "BENCH.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_record.py"), "--parent", str(ROOT),
@@ -51,3 +51,9 @@ def test_bench_record_smoke(tmp_path):
         assert ops["q1"] <= ops["median"] <= ops["q3"] and ops["runs"] == [ops["median"]]
         assert workload[label]["per_layer"]["search.evaluations.temporal-times"] > 0
     assert workload["pairs"]["ops_per_kref"]["wins_of_change"] in (0, 1)
+    # Each acceptance criterion's time against its budget, from the change checkout.
+    acceptance = record["acceptance"]
+    assert acceptance["exit_code"] == 0
+    assert sorted(acceptance["criteria"]) == sorted(f"criterion {k}" for k in range(1, 10))
+    for criterion in acceptance["criteria"].values():
+        assert criterion["passed"] and 0 <= criterion["elapsed_s"] < criterion["budget_s"]
