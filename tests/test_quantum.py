@@ -445,13 +445,6 @@ class TestStackedProductMeans:
             singles = [bipartite_single(cfg, party, idx) for party, idx in nodes]
             assert as_bytes(_bipartite_singles(cfg, nodes)) == as_bytes(singles)
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 24, 25])
-    def test_chained_builds(self, n):
-        cfg = chained_configuration(n)
-        result = build(f"chained-{n}")
-        expected = [correlation_spatial(cfg, i, j) for i, j, _ in cfg.pairing]
-        assert as_bytes(result.correlations.values) == as_bytes(expected)
-
     def test_imaginary_part_beyond_tolerance_rejected(self):
         a = np.stack([SIGMA_Z, identity(2)])
         b = np.stack([identity(2), SIGMA_X])
