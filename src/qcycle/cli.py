@@ -3,7 +3,8 @@
 Subcommands: ``evaluate``, ``bound``, ``feasibility``, ``histories`` and
 ``scan``. Every subcommand accepts ``--format text|structured`` and
 ``--out PATH``; relative output paths resolve against ``QCYCLE_OUT_DIR`` when
-that variable is set.
+that variable is set. ``bound`` reads its scenario from ``--n`` (with
+optional ``--signs``) or from ``--file``, never from both.
 
 Exit codes: 0 success, 2 usage error (an output path that cannot be written
 included), 3 resource cap exceeded (``CYCLE_CAP``, ``check_lp_cap``,
@@ -100,6 +101,8 @@ def cmd_evaluate(args) -> int:
 def cmd_bound(args) -> int:
     started = time.perf_counter()
     if args.file:
+        if args.n is not None or args.signs is not None:
+            raise PreconditionError("bound takes --file or --n [--signs], not both")
         doc = load_scenario(args.file)
         scenario = doc.scenario
         source = str(args.file)

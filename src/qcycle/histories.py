@@ -21,10 +21,13 @@ marginal fails to equal the sum of the fine-grained probabilities.
 inequality <X1 X2> + <X2 X3> + <X1 X3> >= -1 from one D: correlators through
 two independent routes (the 12 starred marginals that omit the unmeasured
 slot, formed in one stacked chain product, and the symmetrized products of
-the slot observables), all interference terms, the equivalent
-diagonal-plus-interference form, and the consistency classification of the
-history pairs that can carry the violation. The per-pattern
-``marginal_probability`` is the test oracle in ``tests/quantum_oracles.py``.
+the slot observables, ``quantum.symmetrized_means``), all interference
+terms, the equivalent diagonal-plus-interference form, and the consistency
+classification of the history pairs that can carry the violation. Both
+correlator routes read real traces through ``linalg.real_traces``; D keeps
+its own check on the diagonal, because its off-diagonal entries are complex
+by nature. The per-pattern ``marginal_probability`` is the test oracle in
+``tests/quantum_oracles.py``.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError, VerificationError
-from .linalg import Observable, State, identity, maximally_mixed
-from .quantum import anticommutator_correlation, xz_observable
+from .linalg import Observable, State, identity, maximally_mixed, real_traces
+from .quantum import symmetrized_means, xz_observable
 
 SLOTS = 3
 CONSISTENT_TOL = 1e-10
@@ -66,15 +69,13 @@ class HistoryFamily:
         return self.observables[slot].projector(outcome)
 
 
-def family_from_bloch_angles(angles, state: State | None = None) -> HistoryFamily:
-    """Three xz-plane qubit measurements at the given Bloch angles."""
+def family_from_bloch_angles(angles) -> HistoryFamily:
+    """Three xz-plane qubit measurements at the given Bloch angles on the maximally mixed qubit."""
     if len(angles) != SLOTS:
         raise PreconditionError(f"need {SLOTS} angles")
     if not all(math.isfinite(a) for a in angles):
         raise PreconditionError(f"Bloch angles must be finite, got {tuple(angles)}")
-    if state is None:
-        state = maximally_mixed(2)
-    return HistoryFamily(state, tuple(xz_observable(a) for a in angles))
+    return HistoryFamily(maximally_mixed(2), tuple(xz_observable(a) for a in angles))
 
 
 def chain_operator(family: HistoryFamily, history) -> np.ndarray:
@@ -119,16 +120,12 @@ def _pair_marginals(family: HistoryFamily) -> list[list[float]]:
 
     Each marginal omits the unused slot: its chain is P_b P_a and its
     probability Tr(C rho C^dag). All 12 chains are formed in one stacked
-    product; an imaginary part beyond 1e-10 is an error.
+    product and read through ``real_traces``.
     """
     first = np.stack([family.projector(a, ka) for a, _ in CORRELATOR_PAIRS for ka, _ in PAIR_OUTCOMES])
     second = np.stack([family.projector(b, kb) for _, b in CORRELATOR_PAIRS for _, kb in PAIR_OUTCOMES])
     chains = second @ (first @ identity(family.state.dim))
-    traces = ((chains @ family.state.matrix) @ chains.conj().transpose(0, 2, 1)).trace(axis1=1, axis2=2)
-    worst = np.abs(traces.imag).max()
-    if worst > 1e-10:
-        raise VerificationError(f"marginal probability has imaginary part {worst:.3e} beyond 1e-10")
-    p = traces.real.tolist()
+    p = real_traces((chains @ family.state.matrix) @ chains.conj().transpose(0, 2, 1))
     return [p[k : k + len(PAIR_OUTCOMES)] for k in range(0, len(p), len(PAIR_OUTCOMES))]
 
 
@@ -177,12 +174,9 @@ def lg_decomposition(family: HistoryFamily) -> LgDecomposition:
             total += ka * kb * p
         correlators.append(total)
     c12, c23, c13 = correlators
-    rho, obs = family.state, family.observables
-    anti = (
-        anticommutator_correlation(rho, obs[0], obs[1]),
-        anticommutator_correlation(rho, obs[1], obs[2]),
-        anticommutator_correlation(rho, obs[0], obs[2]),
-    )
+    m = np.stack([o.matrix for o in family.observables])
+    first, second = m[[a for a, _ in CORRELATOR_PAIRS]], m[[b for _, b in CORRELATOR_PAIRS]]
+    anti = tuple(symmetrized_means(family.state.matrix, first, second))
     interference = {}
     pairs = []
     for pattern, e, g in INTERFERENCE_TABLE:

@@ -17,11 +17,17 @@ spectral projectors (I +- m)/2 on first use, so every scenario (contextual,
 temporal, bipartite, consistent histories) reads the same object. ``State``
 is a density matrix.
 
+Expectation values are traces of stacked products: callers form the
+(K, d, d) products Tr(rho O) needs (rho X, rho X Y, rho {X, Y}, rho (A x B))
+in one broadcast matrix product and ``real_traces`` sums their diagonals, the
+one place where a real trace's imaginary part is checked. The per-term
+products are the test oracles in ``tests/quantum_oracles.py``.
+
 The helpers use ndarray methods and broadcasting rather than numpy's
-module-level wrappers (``np.kron``, ``np.trace``, ``np.max``,
-``np.linalg.norm``), whose argument handling costs more than the arithmetic
-on 2x2 and 4x4 matrices. Each does the same floating-point operations as the
-wrapper it replaces, so every result is bit-identical.
+module-level wrappers (``np.trace``, ``np.max``, ``np.linalg.norm``), whose
+argument handling costs more than the arithmetic on 2x2 and 4x4 matrices.
+Each does the same floating-point operations as the wrapper it replaces, so
+every result is bit-identical.
 """
 
 from __future__ import annotations
@@ -76,47 +82,23 @@ def dag(m) -> np.ndarray:
     return as_matrix(m).conj().T.copy()
 
 
-def trace(m) -> complex:
-    return complex(as_matrix(m).trace())
-
-
-def real_trace(m, tol: float = 1e-10) -> float:
-    """Trace that must be real within ``tol``."""
-    t = trace(m)
-    if abs(t.imag) > tol:
-        raise VerificationError(f"trace has imaginary part {t.imag:.3e} beyond {tol:.0e}")
-    return t.real
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product: block (i, j) of the result is a[i, j] * b.
-
-    The broadcast product that ``np.kron`` forms, without its axis handling.
-    """
-    a, b = as_matrix(a), as_matrix(b)
-    out = a[:, None, :, None] * b[None, :, None, :]
-    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def anticommutator(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    return a @ b + b @ a
-
-
-def commutator_norm(a, b) -> float:
-    """Max-abs entry of the commutator [a, b]."""
-    a, b = as_matrix(a), as_matrix(b)
-    return max_abs(a @ b - b @ a)
-
-
 def max_abs(m) -> float:
     m = np.asarray(m)
     return float(np.abs(m).max()) if m.size else 0.0
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    m = as_matrix(m)
-    return max_abs(m - m.conj().T) <= tol
+def real_traces(products: np.ndarray) -> list[float]:
+    """Traces of a (K, d, d) stack of products, each of which must be real.
+
+    Every real expectation value Tr(rho O) in the package goes through here:
+    an imaginary part beyond 1e-10 is a ``VerificationError``. Each trace is
+    the diagonal sum that ``ndarray.trace`` makes of that slice alone.
+    """
+    traces = products.trace(axis1=1, axis2=2)
+    worst = max_abs(traces.imag)
+    if worst > 1e-10:
+        raise VerificationError(f"trace has imaginary part {worst:.3e} beyond 1e-10")
+    return traces.real.tolist()
 
 
 def _unit_vector3(v) -> np.ndarray:
@@ -211,9 +193,9 @@ class State:
     def __post_init__(self):
         m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if not is_hermitian(m, HERMITIAN_TOL):
+        if max_abs(m - m.conj().T) > HERMITIAN_TOL:
             raise PreconditionError("state is not Hermitian")
-        t = trace(m)
+        t = complex(m.trace())
         if abs(t - 1.0) > HERMITIAN_TOL:
             raise PreconditionError(f"state has trace {t!r}, expected 1")
         lowest = np.linalg.eigvalsh(m)[0]

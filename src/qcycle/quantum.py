@@ -1,17 +1,22 @@
 """Quantum correlators and the standard violating configurations.
 
-Three routes produce adjacent-pair correlators:
+Every correlator and single is an expectation value Tr(rho O). Each builder
+forms the products of its whole configuration as one (K, d, d) stack and
+reads them through ``linalg.real_traces``:
 
-* joint measurement of commuting observables, Tr(rho X Y);
-* sequential projective (Lüders) measurement, evaluated in its closed
-  form: for +-1 observables it is the symmetrized Tr(rho {X, Y})/2 whether
-  or not the pair commutes (the step-by-step Lüders simulation is the test
-  oracle in ``tests/quantum_oracles.py``);
-* bipartite product observables, Tr(rho (A x B)), for every term of a
-  configuration at once: one stacked kron, matrix product and trace (the
-  per-pair route is the test oracle in ``tests/quantum_oracles.py``).
+* joint measurement of a commuting cycle: Tr((rho X) Y) for the correlators
+  and Tr(rho X) for the singles, after one stacked commutator XY - YX gives
+  the norms that reject a pair with no joint context and are reported;
+* sequential projective (Lüders) measurement, in its closed form: for +-1
+  observables it is the symmetrized Tr(rho (XY + YX))/2 whether or not the
+  pair commutes (``symmetrized_means``, also the anticommutator route of
+  ``histories``); temporal observables are in the Heisenberg picture, each
+  built once for its correlators and its single;
+* bipartite product observables, Tr(rho (A x B)): correlators, node singles
+  and perfect pairs from one ``product_means`` call.
 
-Temporal correlators are evaluated in the Heisenberg picture.
+The per-term routes, the step-by-step Lüders simulation among them, are the
+test oracles in ``tests/quantum_oracles.py``.
 
 Builders construct the maximally violating configurations for the five-cycle
 in each setting (``kcbs-contextual``, ``kcbs-temporal``, ``kcbs-spatial``)
@@ -27,21 +32,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PreconditionError, VerificationError
+from .errors import PreconditionError
 from .linalg import (
     SIGMA_Z,
     Observable,
     State,
-    anticommutator,
     bell_phi_plus,
     bloch_observable,
-    commutator_norm,
     dag,
     identity,
-    max_abs,
     maximally_mixed,
     pure_state,
-    real_trace,
+    real_traces,
     su2_rotation,
 )
 from .scenario import (
@@ -57,46 +59,34 @@ from .scenario import (
 COMMUTING_TOL = 1e-9
 
 
-def expectation(rho: State, x: Observable) -> float:
-    """Single-observable mean Tr(rho X)."""
-    return real_trace(rho.matrix @ x.matrix)
-
-
-def correlation_joint(rho: State, x: Observable, y: Observable) -> float:
-    """Tr(rho X Y) for a commuting pair measured in one context.
-
-    A non-commuting pair has no joint context and is rejected.
-    """
-    if commutator_norm(x.matrix, y.matrix) > COMMUTING_TOL:
-        raise PreconditionError("observables do not commute; no joint context exists")
-    return real_trace(rho.matrix @ x.matrix @ y.matrix)
-
-
-def anticommutator_correlation(rho: State, x: Observable, y: Observable) -> float:
-    """Tr(rho {X, Y})/2, the two-point correlator of sequential +-1 measurements."""
-    return 0.5 * real_trace(rho.matrix @ anticommutator(x.matrix, y.matrix))
-
-
-def _product_means(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
+def product_means(rho: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[float]:
     """Tr(rho (a_k x b_k)) for stacks ``a`` (K, dA, dA) and ``b`` (K, dB, dB).
 
-    Each slice takes the floating-point operations of
-    ``real_trace(rho @ kron(a_k, b_k))``: ``kron``'s broadcast product, one
-    matrix product and the diagonal sum, with the same 1e-10 bound on the
-    imaginary part.
+    Each Kronecker product a_k x b_k is the broadcast product ``np.kron``
+    forms; one stacked matrix product with rho and ``real_traces`` follow.
     """
     k, da, db = a.shape[0], a.shape[1], b.shape[1]
     ops = (a[:, :, None, :, None] * b[:, None, :, None, :]).reshape(k, da * db, da * db)
-    traces = (rho @ ops).trace(axis1=1, axis2=2)
-    worst = max_abs(traces.imag)
-    if worst > 1e-10:
-        raise VerificationError(f"trace has imaginary part {worst:.3e} beyond 1e-10")
-    return traces.real.tolist()
+    return real_traces(rho @ ops)
+
+
+def symmetrized_means(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[float]:
+    """Tr(rho (x_k y_k + y_k x_k))/2 for stacks ``x`` and ``y`` (K, d, d).
+
+    The two-point correlator of sequential +-1 measurements (Lüders).
+    """
+    return [0.5 * v for v in real_traces(rho @ (x @ y + y @ x))]
 
 
 def _party_stack(observables: tuple[Observable, ...]) -> np.ndarray:
     """(len + 1, d, d) matrices of one party; the last entry is the identity."""
     return np.stack([*(o.matrix for o in observables), identity(observables[0].dim)])
+
+
+def _cycle_stacks(observables) -> tuple[np.ndarray, np.ndarray]:
+    """The observables' matrices and, slice for slice, their cyclic successors'."""
+    x = np.stack([o.matrix for o in observables])
+    return x, np.roll(x, -1, axis=0)
 
 
 def heisenberg_observable(protocol: TemporalProtocol, t: float) -> Observable:
@@ -105,38 +95,32 @@ def heisenberg_observable(protocol: TemporalProtocol, t: float) -> Observable:
     return Observable(dag(u) @ protocol.measured.matrix @ u)
 
 
-def temporal_correlations(protocol: TemporalProtocol) -> CorrelationVector:
-    """Adjacent-pair correlators of the protocol, Heisenberg picture."""
-    obs = [heisenberg_observable(protocol, t) for t in protocol.times]
-    n = protocol.n
-    values = [
-        anticommutator_correlation(protocol.initial_state, obs[i], obs[(i + 1) % n])
-        for i in range(n)
-    ]
-    return CorrelationVector(canonical_scenario(n), tuple(values))
+def temporal_means(protocol: TemporalProtocol) -> tuple[CorrelationVector, tuple[float, ...]]:
+    """Adjacent-pair correlators and singles of the protocol, Heisenberg picture.
+
+    Each time's Heisenberg observable is built once and serves both.
+    """
+    x, y = _cycle_stacks([heisenberg_observable(protocol, t) for t in protocol.times])
+    rho = protocol.initial_state.matrix
+    corr = CorrelationVector(canonical_scenario(protocol.n), tuple(symmetrized_means(rho, x, y)))
+    return corr, tuple(real_traces(rho @ x))
 
 
-def temporal_singles(protocol: TemporalProtocol) -> tuple[float, ...]:
-    return tuple(
-        expectation(protocol.initial_state, heisenberg_observable(protocol, t))
-        for t in protocol.times
-    )
+def contextual_means(
+    state: State, observables: tuple[Observable, ...]
+) -> tuple[CorrelationVector, tuple[float, ...], tuple[float, ...]]:
+    """Adjacent joint correlators, singles and adjacent commutator norms of a cycle.
 
-
-def spatial_correlations(cfg: BipartiteConfig) -> CorrelationVector:
-    """<A_i B_j> for every pairing term, in pairing order."""
-    alice, bob = _party_stack(cfg.alice), _party_stack(cfg.bob)
-    i = [i for i, _, _ in cfg.pairing]
-    j = [j for _, j, _ in cfg.pairing]
-    values = _product_means(cfg.state.matrix, alice[i], bob[j])
-    return CorrelationVector(cfg.scenario(), tuple(values))
-
-
-def perfect_pair_values(cfg: BipartiteConfig) -> tuple[float, ...]:
-    """<A_i B_i> for the shared indices, the perfect-correlation diagnostics."""
-    shared = min(len(cfg.alice), len(cfg.bob))
-    alice, bob = _party_stack(cfg.alice), _party_stack(cfg.bob)
-    return tuple(_product_means(cfg.state.matrix, alice[:shared], bob[:shared]))
+    A pair whose commutator norm exceeds ``COMMUTING_TOL`` has no joint
+    context, and the cycle is rejected.
+    """
+    x, y = _cycle_stacks(observables)
+    norms = tuple(np.abs(x @ y - y @ x).max(axis=(1, 2)).tolist())
+    if max(norms) > COMMUTING_TOL:
+        raise PreconditionError("observables do not commute; no joint context exists")
+    rx = state.matrix @ x
+    corr = CorrelationVector(canonical_scenario(len(observables)), tuple(real_traces(rx @ y)))
+    return corr, tuple(real_traces(rx)), norms
 
 
 # Builders.
@@ -158,14 +142,13 @@ def temporal_kcbs_protocol() -> TemporalProtocol:
     )
 
 
-def pentagram_vectors(cone_half_angle: float | None = None) -> np.ndarray:
+def pentagram_vectors() -> np.ndarray:
     """Five real unit vectors on a cone with azimuth step 4*pi/5.
 
-    At the default half-angle, cos^2(theta) = cos(pi/5)/(1 + cos(pi/5)) =
+    At the half-angle with cos^2(theta) = cos(pi/5)/(1 + cos(pi/5)) =
     1/sqrt(5), cyclically adjacent vectors are exactly orthogonal.
     """
-    if cone_half_angle is None:
-        cone_half_angle = math.acos(math.sqrt(1.0 / math.sqrt(5.0)))
+    cone_half_angle = math.acos(math.sqrt(1.0 / math.sqrt(5.0)))
     c, s = math.cos(cone_half_angle), math.sin(cone_half_angle)
     step = 4.0 * math.pi / 5.0
     return np.array(
@@ -185,18 +168,6 @@ def contextual_kcbs_configuration() -> tuple[State, tuple[Observable, ...]]:
         Observable(2.0 * np.outer(v, v) - eye) for v in vs
     )
     return pure_state([0.0, 0.0, 1.0]), observables
-
-
-def contextual_correlations(
-    state: State, observables: tuple[Observable, ...]
-) -> CorrelationVector:
-    """Adjacent joint correlators of a compatible cycle of observables."""
-    n = len(observables)
-    values = tuple(
-        correlation_joint(state, observables[i], observables[(i + 1) % n])
-        for i in range(n)
-    )
-    return CorrelationVector(canonical_scenario(n), values)
 
 
 def xz_observable(angle: float) -> Observable:
@@ -275,13 +246,26 @@ _CHAINED_RE = re.compile(r"chained-([0-9]+)")
 BUILDER_NAMES = ("kcbs-contextual", "kcbs-temporal", "kcbs-spatial", "chained-N")
 
 
-def _bipartite_singles(cfg: BipartiteConfig, node_obs: list[tuple[str, int]]) -> tuple[float, ...]:
-    """Per-cycle-node single-observable means <A_i x I> or <I x B_j> of a bipartite configuration."""
+def _bipartite_result(
+    name: str, cfg: BipartiteConfig, nodes: list[tuple[str, int]], perfect: bool
+) -> BuilderResult:
+    """A bipartite configuration's values from one ``product_means`` call.
+
+    The stack holds, in order: <A_i B_j> per pairing term; per cycle node
+    <A_i x I> or <I x B_j> (``nodes`` lists ("A", i) or ("B", j)); and, when
+    ``perfect``, <A_i B_i> for the shared indices, the perfect-correlation
+    diagnostics.
+    """
     alice, bob = _party_stack(cfg.alice), _party_stack(cfg.bob)
     eye_a, eye_b = len(cfg.alice), len(cfg.bob)  # the identity's index in each stack
-    i = [idx if party == "A" else eye_a for party, idx in node_obs]
-    j = [eye_b if party == "A" else idx for party, idx in node_obs]
-    return tuple(_product_means(cfg.state.matrix, alice[i], bob[j]))
+    shared = list(range(min(eye_a, eye_b))) if perfect else []
+    i = [a for a, _, _ in cfg.pairing] + [k if party == "A" else eye_a for party, k in nodes] + shared
+    j = [b for _, b, _ in cfg.pairing] + [eye_b if party == "A" else k for party, k in nodes] + shared
+    values = product_means(cfg.state.matrix, alice[i], bob[j])
+    terms, singles_end = len(cfg.pairing), len(cfg.pairing) + len(nodes)
+    corr = CorrelationVector(cfg.scenario(), tuple(values[:terms]))
+    pairs = tuple(values[singles_end:]) if perfect else None
+    return BuilderResult(name, corr.scenario, corr, tuple(values[terms:singles_end]), pairs, None)
 
 
 def builder_cycle_length(name: str) -> int:
@@ -304,34 +288,16 @@ def build(name: str) -> BuilderResult:
     """Evaluate a named configuration: kcbs-{contextual,temporal,spatial} or chained-N."""
     n = builder_cycle_length(name)
     if name == "kcbs-temporal":
-        protocol = temporal_kcbs_protocol()
-        corr = temporal_correlations(protocol)
-        return BuilderResult(
-            name, corr.scenario, corr, temporal_singles(protocol), None, None
-        )
+        corr, singles = temporal_means(temporal_kcbs_protocol())
+        return BuilderResult(name, corr.scenario, corr, singles, None, None)
     if name == "kcbs-contextual":
-        state, observables = contextual_kcbs_configuration()
-        corr = contextual_correlations(state, observables)
-        singles = tuple(expectation(state, x) for x in observables)
-        comms = tuple(
-            commutator_norm(observables[i].matrix, observables[(i + 1) % 5].matrix)
-            for i in range(5)
-        )
-        return BuilderResult(name, corr.scenario, corr, singles, None, comms)
+        corr, singles, norms = contextual_means(*contextual_kcbs_configuration())
+        return BuilderResult(name, corr.scenario, corr, singles, None, norms)
     if name == "kcbs-spatial":
-        cfg = spatial_kcbs_configuration()
-        corr = spatial_correlations(cfg)
-        singles = _bipartite_singles(cfg, [("A", i) for i in range(5)])
-        return BuilderResult(
-            name, corr.scenario, corr, singles, perfect_pair_values(cfg), None
-        )
+        return _bipartite_result(name, spatial_kcbs_configuration(), [("A", i) for i in range(5)], True)
     cfg = chained_configuration(n)
-    corr = spatial_correlations(cfg)
     if n % 2 == 0:
         nodes = [("A", k // 2) if k % 2 == 0 else ("B", (k - 1) // 2) for k in range(n)]
-        perfect = None
     else:
         nodes = [("A", i) for i in range(n)]
-        perfect = perfect_pair_values(cfg)
-    singles = _bipartite_singles(cfg, nodes)
-    return BuilderResult(name, corr.scenario, corr, singles, perfect, None)
+    return _bipartite_result(name, cfg, nodes, n % 2 == 1)

@@ -57,8 +57,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PreconditionError, ResourceLimitError
-from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, kron, su2_rotation, trace
-from .quantum import build, spatial_kcbs_configuration, temporal_kcbs_protocol
+from .linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, real_traces, su2_rotation
+from .quantum import build, product_means, spatial_kcbs_configuration, temporal_kcbs_protocol
 from .scenario import (
     CycleScenario,
     canonical_scenario,
@@ -138,18 +138,19 @@ def _constants() -> _Constants:
     """
     protocol = temporal_kcbs_protocol()
     measured = protocol.measured.matrix
+    paulis = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
     def heisenberg_bloch(angle: float) -> np.ndarray:
         u = su2_rotation(protocol.axis, angle)
         h = u.conj().T @ measured @ u
-        return np.array([0.5 * trace(h @ s).real for s in (SIGMA_X, SIGMA_Y, SIGMA_Z)])
+        return np.array([0.5 * t for t in real_traces(h @ paulis)])
 
     start, flipped = heisenberg_bloch(0.0), heisenberg_bloch(0.5 * math.pi)
     par, perp = 0.5 * (start + flipped), 0.5 * (start - flipped)
-    m0 = 0.5 * trace(measured).real
+    m0 = 0.5 * real_traces(measured[None])[0]
     rho = spatial_kcbs_configuration().state.matrix
-    xz = (SIGMA_X, SIGMA_Z)
-    tensor = tuple(float(trace(rho @ kron(a, b)).real) for a in xz for b in xz)
+    # T_xx, T_xz, T_zx, T_zz: sigma_x, sigma_x, sigma_z, sigma_z against x, z, x, z.
+    tensor = tuple(product_means(rho, paulis[[0, 0, 2, 2]], paulis[[0, 2, 0, 2]]))
     return _Constants(
         2.0 * protocol.angular_rate, m0 * m0 + float(par @ par), float(perp @ perp), tensor
     )

@@ -1,7 +1,12 @@
 """Independent oracles for the correlators in ``qcycle.quantum``.
 
-``correlation_sequential`` simulates measuring one observable and then
-another with the Lüders state update, the operational route that
+``trace``, ``real_trace``, ``kron``, ``anticommutator`` and
+``commutator_norm`` work on one matrix or pair at a time; every correlator
+oracle below is built on them, apart from the stacked products and
+``linalg.real_traces`` the package uses. ``correlation_joint`` is Tr(rho X Y)
+of one commuting pair and ``anticommutator_correlation`` Tr(rho {X, Y})/2 of
+one pair. ``correlation_sequential`` simulates measuring one observable and
+then another with the Lüders state update, the operational route that
 ``anticommutator_correlation`` gives in closed form.
 ``temporal_correlations_schrodinger`` simulates the temporal protocol
 step by step in the Schrödinger picture (evolve, Lüders collapse, evolve,
@@ -19,13 +24,63 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from qcycle.errors import PreconditionError
+import numpy as np
+
+from qcycle.errors import PreconditionError, VerificationError
 from qcycle.histories import SLOTS, STAR, HistoryFamily
-from qcycle.linalg import Observable, State, dag, identity, kron, real_trace, su2_rotation
-from qcycle.quantum import heisenberg_observable
+from qcycle.linalg import Observable, State, as_matrix, dag, identity, max_abs, su2_rotation
+from qcycle.quantum import COMMUTING_TOL, heisenberg_observable
 from qcycle.scenario import BipartiteConfig, CorrelationVector, TemporalProtocol, canonical_scenario
 
 DEAD_BRANCH = 1e-14
+
+
+def trace(m) -> complex:
+    return complex(as_matrix(m).trace())
+
+
+def real_trace(m, tol: float = 1e-10) -> float:
+    """Trace that must be real within ``tol``."""
+    t = trace(m)
+    if abs(t.imag) > tol:
+        raise VerificationError(f"trace has imaginary part {t.imag:.3e} beyond {tol:.0e}")
+    return t.real
+
+
+def kron(a, b) -> np.ndarray:
+    """Kronecker product: block (i, j) of the result is a[i, j] * b.
+
+    The broadcast product that ``np.kron`` forms, without its axis handling.
+    """
+    a, b = as_matrix(a), as_matrix(b)
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def anticommutator(a, b) -> np.ndarray:
+    a, b = as_matrix(a), as_matrix(b)
+    return a @ b + b @ a
+
+
+def commutator_norm(a, b) -> float:
+    """Max-abs entry of the commutator [a, b]."""
+    a, b = as_matrix(a), as_matrix(b)
+    return max_abs(a @ b - b @ a)
+
+
+def correlation_joint(rho: State, x: Observable, y: Observable) -> float:
+    """Tr(rho X Y) for a commuting pair measured in one context.
+
+    A non-commuting pair has no joint context and is rejected.
+    """
+    if commutator_norm(x.matrix, y.matrix) > COMMUTING_TOL:
+        raise PreconditionError("observables do not commute; no joint context exists")
+    return real_trace(rho.matrix @ x.matrix @ y.matrix)
+
+
+def anticommutator_correlation(rho: State, x: Observable, y: Observable) -> float:
+    """Tr(rho {X, Y})/2, the two-point correlator of sequential +-1 measurements."""
+    return 0.5 * real_trace(rho.matrix @ anticommutator(x.matrix, y.matrix))
 
 
 @dataclass(frozen=True)

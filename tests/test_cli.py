@@ -124,6 +124,18 @@ class TestBound:
         fields = structured(capsys, "bound", "--file", str(path))
         assert fields["classical_bound"] == "-4"
 
+    @pytest.mark.parametrize(
+        "extra",
+        [("--n", "9", "--signs", *["1"] * 9), ("--n", "5"), ("--signs", *["-1"] * 5)],
+        ids=["n-and-signs", "n", "signs"],
+    )
+    def test_file_with_n_or_signs_is_usage_error(self, tmp_path, extra):
+        # The file's scenario used to be reported and --n/--signs dropped without a word.
+        path = tmp_path / "scenario.txt"
+        save_scenario(ScenarioFile(canonical_scenario(5)), path)
+        for argv in (("bound", *extra, "--file", str(path)), ("bound", "--file", str(path), *extra)):
+            assert exit_code(argv) == (2, "error: bound takes --file or --n [--signs], not both\n")
+
     def test_resource_cap_exit_code(self, capsys):
         fields = structured(capsys, "bound", "--n", str(CYCLE_CAP))
         assert fields["classical_bound"] == str(2 - CYCLE_CAP)

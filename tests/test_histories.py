@@ -42,7 +42,7 @@ from qcycle.linalg import (
     maximally_mixed,
     pure_state,
 )
-from qcycle.quantum import temporal_kcbs_protocol
+from qcycle.quantum import temporal_kcbs_protocol, xz_observable
 from qcycle.scenario import TemporalProtocol
 
 LG_ANGLES = (0.0, 2 * math.pi / 3, 4 * math.pi / 3)
@@ -214,7 +214,8 @@ class TestLgDecomposition:
     def test_reads_one_decoherence_functional(self):
         # Probabilities are the diagonal of D; each interference term is twice
         # the pair value at the pattern's own completions, never in the last slot.
-        fam = family_from_bloch_angles((0.4, 1.3, 2.6), random_state(np.random.default_rng(3)))
+        state = random_state(np.random.default_rng(3))
+        fam = HistoryFamily(state, tuple(xz_observable(a) for a in (0.4, 1.3, 2.6)))
         d = decoherence_functional(fam)
         dec = lg_decomposition(fam)
         assert list(dec.probabilities) == list(FULL_HISTORIES)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import random_qubit_observable, random_state, random_unit3
 from matrix_dump import format_matrix, parse_matrix
+from quantum_oracles import anticommutator, commutator_norm, kron, real_trace, trace
 from qcycle.errors import PreconditionError
 from qcycle.linalg import (
     I2,
@@ -17,20 +18,15 @@ from qcycle.linalg import (
     SIGMA_Z,
     Observable,
     State,
-    anticommutator,
     as_matrix,
     bell_phi_plus,
     bloch_observable,
-    commutator_norm,
     dag,
     identity,
-    kron,
     max_abs,
     maximally_mixed,
     pure_state,
-    real_trace,
     su2_rotation,
-    trace,
 )
 from qcycle.quantum import pentagram_vectors
 

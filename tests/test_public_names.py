@@ -1,4 +1,4 @@
-"""Every public name in ``src/qcycle`` has a caller outside the tests.
+"""Every public name in ``src/qcycle`` has a caller outside the tests, and every import a use.
 
 The names checked are the top-level ones and the methods and properties of
 public classes. A name that only tests reach is a test oracle and belongs in
@@ -6,6 +6,10 @@ public classes. A name that only tests reach is a test oracle and belongs in
 ``src/qcycle/*.py`` and counts a name as used when the package, ``scripts/``
 or ``perfbench/`` loads it as a variable, reads it as an attribute or imports
 it, besides defining it.
+
+The import check parses every module of ``src/qcycle``, ``scripts/`` and
+``tests/``: a name an import binds must be read in that module or listed in
+its ``__all__``.
 """
 
 from __future__ import annotations
@@ -21,6 +25,12 @@ ALLOWED_UNUSED = {
     "parse_structured": "documented inverse of the structured report format",
     "save_scenario": "documented inverse of the scenario file format",
     "contextual_cone_vectors": "pinned public batch view of the contextual cone",
+}
+
+
+# Imports kept without a use in their own module, each for a reason of its own.
+ALLOWED_UNUSED_IMPORTS = {
+    "src/qcycle/cli.py:minimize_lhs": "perfbench/tracing.py patches qcycle.cli.minimize_lhs",
 }
 
 
@@ -102,3 +112,47 @@ def test_allow_list_names_exist():
         name for path in PACKAGE.glob("*.py") for name in top_level_public_names(ast.parse(path.read_text()))
     }
     assert set(ALLOWED_UNUSED) <= defined
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import (``__future__`` aside) that the module never reads nor lists in ``__all__``."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.extend(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(alias.asname or alias.name for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_used():
+    modules = [
+        path
+        for folder in (PACKAGE, ROOT / "scripts", ROOT / "tests")
+        for path in sorted(folder.glob("*.py"))
+    ]
+    unused = [
+        f"{path.relative_to(ROOT).as_posix()}:{name}"
+        for path in modules
+        for name in unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert [entry for entry in unused if entry not in ALLOWED_UNUSED_IMPORTS] == []
+
+
+def test_import_check_sees_unused_names():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport os, os.path as osp\nimport numpy.linalg\n"
+        "from a import b, c as d, e\n__all__ = ['e']\nnumpy.linalg.norm(b)\n"
+    )
+    assert unused_imports(tree) == ["os", "osp", "d"]
+
+
+def test_allowed_unused_imports_are_unused():
+    # An allow-list entry whose import is gone, or now read, is stale.
+    for entry in ALLOWED_UNUSED_IMPORTS:
+        path, name = entry.split(":")
+        assert name in unused_imports(ast.parse((ROOT / path).read_text()))

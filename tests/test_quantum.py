@@ -7,9 +7,15 @@ from hypothesis import strategies as st
 
 from conftest import count_constructions, random_qubit_observable, random_state, random_unit3
 from quantum_oracles import (
+    anticommutator,
+    anticommutator_correlation,
     bipartite_single,
+    commutator_norm,
+    correlation_joint,
     correlation_sequential,
     correlation_spatial,
+    kron,
+    real_trace,
     repeat_agreement_probability,
     temporal_correlations_schrodinger,
 )
@@ -18,29 +24,24 @@ from qcycle.linalg import (
     SIGMA_X,
     SIGMA_Z,
     Observable,
-    commutator_norm,
     identity,
-    kron,
     max_abs,
     maximally_mixed,
     pure_state,
+    real_traces,
 )
 from qcycle.quantum import (
-    _bipartite_singles,
-    _product_means,
-    anticommutator_correlation,
+    _bipartite_result,
     build,
     chained_configuration,
-    contextual_correlations,
     contextual_kcbs_configuration,
-    correlation_joint,
+    contextual_means,
     heisenberg_observable,
-    perfect_pair_values,
-    spatial_correlations,
+    product_means,
     spatial_kcbs_configuration,
-    temporal_correlations,
+    symmetrized_means,
     temporal_kcbs_protocol,
-    temporal_singles,
+    temporal_means,
     xz_observable,
 )
 from qcycle.scenario import (
@@ -71,11 +72,14 @@ class TestCorrelationJoint:
         term = correlation_joint(state, obs[0], obs[1])
         assert term == pytest.approx(CONTEXTUAL_OPTIMUM / 5.0, abs=1e-12)
 
-    def test_non_commuting_rejected(self):
-        x = Observable(SIGMA_X)
-        z = Observable(SIGMA_Z)
-        with pytest.raises(PreconditionError):
-            correlation_joint(maximally_mixed(2), x, z)
+    def test_non_commuting_rejected(self, monkeypatch):
+        # A cycle with a non-commuting adjacent pair has no joint context:
+        # the contextual builder refuses it before any correlator is read.
+        x, z = Observable(SIGMA_X), Observable(SIGMA_Z)
+        cycle = (maximally_mixed(2), (z, z, z, z, x))
+        monkeypatch.setattr("qcycle.quantum.contextual_kcbs_configuration", lambda: cycle)
+        with pytest.raises(PreconditionError, match="no joint context"):
+            build("kcbs-contextual")
 
 
 class TestCorrelationSequential:
@@ -185,18 +189,18 @@ class TestTemporalProtocol:
         assert max_abs(p.measured.matrix - SIGMA_Z) == 0.0
 
     def test_adjacent_correlators(self):
-        corr = temporal_correlations(temporal_kcbs_protocol())
+        corr = temporal_means(temporal_kcbs_protocol())[0]
         for value in corr.values:
             assert value == pytest.approx(-math.cos(math.pi / 5), abs=1e-12)
         assert inequality_lhs(corr) == pytest.approx(FIVE_CYCLE_OPTIMUM, abs=1e-12)
 
     def test_classical_bound_of_scenario(self):
-        corr = temporal_correlations(temporal_kcbs_protocol())
+        corr = temporal_means(temporal_kcbs_protocol())[0]
         assert classical_bound(corr.scenario) == -3
 
     def test_schrodinger_oracle_agrees(self):
         p = temporal_kcbs_protocol()
-        heisenberg = temporal_correlations(p)
+        heisenberg, _ = temporal_means(p)
         schrodinger = temporal_correlations_schrodinger(p)
         assert np.allclose(heisenberg.values, schrodinger.values, atol=1e-12)
 
@@ -215,13 +219,13 @@ class TestTemporalProtocol:
             measured=random_qubit_observable(rng),
         )
         assert np.allclose(
-            temporal_correlations(p).values,
+            temporal_means(p)[0].values,
             temporal_correlations_schrodinger(p).values,
             atol=1e-10,
         )
 
     def test_singles_unbiased(self):
-        assert np.allclose(temporal_singles(temporal_kcbs_protocol()), 0.0, atol=1e-12)
+        assert np.allclose(temporal_means(temporal_kcbs_protocol())[1], 0.0, atol=1e-12)
 
     def test_times_must_increase(self):
         with pytest.raises(PreconditionError):
@@ -256,7 +260,7 @@ class TestContextualConfiguration:
 
     def test_optimum(self):
         state, obs = contextual_kcbs_configuration()
-        corr = contextual_correlations(state, obs)
+        corr, _, _ = contextual_means(state, obs)
         assert inequality_lhs(corr) == pytest.approx(CONTEXTUAL_OPTIMUM, abs=1e-12)
 
     def test_observables_square_to_identity(self):
@@ -267,12 +271,11 @@ class TestContextualConfiguration:
 
 class TestSpatialConfiguration:
     def test_perfect_correlations(self):
-        cfg = spatial_kcbs_configuration()
-        for value in perfect_pair_values(cfg):
+        for value in build("kcbs-spatial").perfect_pairs:
             assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_optimum_matches_temporal(self):
-        corr = spatial_correlations(spatial_kcbs_configuration())
+        corr = build("kcbs-spatial").correlations
         assert inequality_lhs(corr) == pytest.approx(FIVE_CYCLE_OPTIMUM, abs=1e-12)
         assert classical_bound(corr.scenario) == -3
 
@@ -321,8 +324,7 @@ class TestChainedConfiguration:
         "n,bound", [(3, -1), (4, -2), (5, -3)]
     )
     def test_small_cycles(self, n, bound):
-        cfg = chained_configuration(n)
-        corr = spatial_correlations(cfg)
+        corr = build(f"chained-{n}").correlations
         assert inequality_lhs(corr) == pytest.approx(
             n * math.cos(math.pi * (n - 1) / n), abs=1e-12
         )
@@ -332,14 +334,14 @@ class TestChainedConfiguration:
     def test_closed_form_both_parities(self, n):
         # The printed odd-n settings do reach n*cos(pi*(n-1)/n) exactly,
         # m = 0 forcing the first setting to the z-axis notwithstanding.
-        corr = spatial_correlations(chained_configuration(n))
+        corr = build(f"chained-{n}").correlations
         assert inequality_lhs(corr) == pytest.approx(
             n * math.cos(math.pi * (n - 1) / n), abs=1e-9
         )
 
     @pytest.mark.parametrize("n", (3, 5, 7, 9))
     def test_odd_perfect_correlations(self, n):
-        for value in perfect_pair_values(chained_configuration(n)):
+        for value in build(f"chained-{n}").perfect_pairs:
             assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_too_small_rejected(self):
@@ -389,13 +391,13 @@ class TestBuilders:
 class TestValidatedObjectCounts:
     """Every build constructs and validates its objects afresh: nothing is
     cached or skipped. The temporal protocol builds its measured observable
-    plus five Heisenberg observables for the correlators and five more for
+    plus five Heisenberg observables, which serve both the correlators and
     the singles.
     """
 
     @pytest.mark.parametrize(
         "name, counts",
-        [("kcbs-contextual", (5, 1)), ("kcbs-temporal", (11, 1)), ("kcbs-spatial", (5, 1))]
+        [("kcbs-contextual", (5, 1)), ("kcbs-temporal", (6, 1)), ("kcbs-spatial", (5, 1))]
         + [(f"chained-{n}", (n, 1)) for n in range(3, 25)],
     )
     def test_observables_and_states_per_build(self, name, counts):
@@ -408,6 +410,13 @@ def random_local_observable(rng, dim: int) -> Observable:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= math.sqrt((v.conj() @ v).real)
     return Observable(2.0 * np.outer(v, v.conj()) - identity(dim))
+
+
+def commuting_pair(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two +-1 observables U D U^dag with random sign diagonals D in one random eigenbasis U."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    x, y = (u @ np.diag(rng.choice((1.0, -1.0), size=dim)) @ u.conj().T for _ in range(2))
+    return x, y
 
 
 def as_bytes(values) -> bytes:
@@ -433,25 +442,65 @@ class TestStackedProductMeans:
             expected = [correlation_spatial(cfg, i, j) for i, j, _ in pairing]
             a = np.stack([alice[i].matrix for i, _, _ in pairing])
             b = np.stack([bob[j].matrix for _, j, _ in pairing])
-            assert as_bytes(_product_means(cfg.state.matrix, a, b)) == as_bytes(expected)
-            if terms >= 3:  # a cycle scenario needs three terms
-                assert as_bytes(spatial_correlations(cfg).values) == as_bytes(expected)
-            shared = range(min(len(alice), len(bob)))
-            assert as_bytes(perfect_pair_values(cfg)) == as_bytes([correlation_spatial(cfg, i, i) for i in shared])
+            assert as_bytes(product_means(cfg.state.matrix, a, b)) == as_bytes(expected)
             nodes = [
                 ("A", int(rng.integers(len(alice)))) if rng.random() < 0.5 else ("B", int(rng.integers(len(bob))))
                 for _ in range(terms)
             ]
-            singles = [bipartite_single(cfg, party, idx) for party, idx in nodes]
-            assert as_bytes(_bipartite_singles(cfg, nodes)) == as_bytes(singles)
+            if terms < 3:  # a cycle scenario needs three terms
+                continue
+            result = _bipartite_result("random", cfg, nodes, True)
+            assert as_bytes(result.correlations.values) == as_bytes(expected)
+            assert as_bytes(result.singles) == as_bytes([bipartite_single(cfg, party, idx) for party, idx in nodes])
+            shared = range(min(len(alice), len(bob)))
+            assert as_bytes(result.perfect_pairs) == as_bytes([correlation_spatial(cfg, i, i) for i in shared])
+            assert _bipartite_result("random", cfg, nodes, False).perfect_pairs is None
 
     def test_imaginary_part_beyond_tolerance_rejected(self):
         a = np.stack([SIGMA_Z, identity(2)])
         b = np.stack([identity(2), SIGMA_X])
         rho = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
-        assert _product_means(rho, a, b) == [0.5, 0.0]
+        assert product_means(rho, a, b) == [0.5, 0.0]
         rho[3, 3] = 2e-10j  # Tr(rho (Z x I)) picks up -2e-10j
         with pytest.raises(VerificationError, match="imaginary part"):
-            _product_means(rho, a, b)
+            product_means(rho, a, b)
         rho[3, 3] = 0.5e-10j  # within 1e-10: accepted, real part returned
-        assert _product_means(rho, a, b)[0] == 0.5
+        assert product_means(rho, a, b)[0] == 0.5
+
+
+class TestRealTraces:
+    """``real_traces`` of every stacked product equals the per-term oracles byte for byte."""
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("terms", [1, 2, 3, 7, 16, 40])
+    def test_random_stacks(self, dim, terms):
+        rng = np.random.default_rng([dim, terms, 16])
+        for _ in range(3):
+            rho = random_state(rng, dim).matrix
+            pairs = [commuting_pair(rng, dim) for _ in range(terms)]
+            xs, ys = [a for a, _ in pairs], [b for _, b in pairs]
+            x, y = np.stack(xs), np.stack(ys)
+            rx = rho @ x
+            assert as_bytes(real_traces(rx)) == as_bytes([real_trace(rho @ m) for m in xs])
+            assert as_bytes(real_traces(rx @ y)) == as_bytes([real_trace(rho @ a @ b) for a, b in zip(xs, ys)])
+            xs, ys = ([random_local_observable(rng, dim).matrix for _ in range(terms)] for _ in range(2))
+            x, y = np.stack(xs), np.stack(ys)
+            anti = [0.5 * real_trace(rho @ anticommutator(a, b)) for a, b in zip(xs, ys)]
+            assert as_bytes(symmetrized_means(rho, x, y)) == as_bytes(anti)
+            if dim == 4:  # rho on a qubit pair
+                a = np.stack([random_local_observable(rng, 2).matrix for _ in range(terms)])
+                b = np.stack([random_local_observable(rng, 2).matrix for _ in range(terms)])
+                expected = [real_trace(rho @ kron(p, q)) for p, q in zip(a, b)]
+                assert as_bytes(product_means(rho, a, b)) == as_bytes(expected)
+
+    def test_returns_one_float_per_slice(self):
+        assert real_traces(np.zeros((0, 2, 2), dtype=complex)) == []
+        assert real_traces(np.stack([identity(3), 2 * identity(3)])) == [3.0, 6.0]
+
+    def test_imaginary_part_beyond_tolerance_rejected(self):
+        stack = np.stack([identity(2), identity(2)]).astype(complex)
+        stack[1, 0, 0] += 2e-10j
+        with pytest.raises(VerificationError, match="imaginary part 2.000e-10 beyond 1e-10"):
+            real_traces(stack)
+        stack[1, 0, 0] = 1 + 1e-10j  # exactly at the bound: accepted
+        assert real_traces(stack) == [2.0, 2.0]
