@@ -73,8 +73,8 @@ class TestCorrelationJoint:
         assert term == pytest.approx(CONTEXTUAL_OPTIMUM / 5.0, abs=1e-12)
 
     def test_non_commuting_rejected(self, monkeypatch):
-        # A cycle with a non-commuting adjacent pair has no joint context:
-        # the contextual builder refuses it before any correlator is read.
+        # A cycle with a non-commuting adjacent pair has no joint context,
+        # so the contextual builder refuses it.
         x, z = Observable(SIGMA_X), Observable(SIGMA_Z)
         cycle = (maximally_mixed(2), (z, z, z, z, x))
         monkeypatch.setattr("qcycle.quantum.contextual_kcbs_configuration", lambda: cycle)
