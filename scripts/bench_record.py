@@ -13,11 +13,12 @@ checkouts taking turns at running first. Then it runs one traced run
 output holds the machine (nproc, Python, numpy, scipy), each checkout's
 commit and a digest of its ``src/qcycle`` sources, each end-to-end metric's
 median, quartiles and raw values, the traced run's per-layer metrics, how
-many rounds the change won on each metric, and each acceptance criterion's
-elapsed time against its budget, read from the criterion lines that end in
-``in X.XXs of Ys``. The checkouts should sit in directories whose
-paths have the same length: the benchmark's reference kernel runs at a speed
-that depends on the process's memory layout.
+many rounds the change won on each metric, the metric's bound, the parent's
+IQR as a share of its median and a verdict (see ``verdict``), and each
+acceptance criterion's elapsed time against its budget, read from the
+criterion lines that end in ``in X.XXs of Ys``. The checkouts should sit in
+directories whose paths have the same length: the benchmark's reference
+kernel runs at a speed that depends on the process's memory layout.
 """
 
 from __future__ import annotations
@@ -107,6 +108,40 @@ def wins(a: list[float], b: list[float], better: str) -> int:
     return sum((y > x) if better == "higher" else (y < x) for x, y in zip(a, b))
 
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """``worse``, ``unresolved``, ``better`` or ``no_worse``, tested in that order.
+
+    ``worse``: the change's median is worse than the parent's by more than
+    ``bound`` (a share of the parent's median). ``unresolved``: the parent's
+    own IQR spreads more than ``bound`` of its median, and not every change
+    run beats every parent run. ``better``: the change wins at least 9 of 10
+    rounds, and the medians differ by more than the parent's IQR.
+    ``no_worse``: any other case.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    p = summary(parent)
+    gain = sign * (statistics.median(change) - p["median"])
+    iqr = p["q3"] - p["q1"]
+    if gain < -bound * p["median"]:
+        return "worse"
+    beats_every_parent_run = min(sign * v for v in change) > max(sign * v for v in parent)
+    if iqr > bound * p["median"] and not beats_every_parent_run:
+        return "unresolved"
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and gain > iqr:
+        return "better"
+    return "no_worse"
+
+
+def pair_entry(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Paired-round comparison of one end-to-end metric between the two checkouts."""
+    p = summary(parent)
+    return {"wins_of_change": wins(parent, change, better),
+            "median_ratio": statistics.median(change) / p["median"],
+            "bound": bound,
+            "parent_iqr_share": (p["q3"] - p["q1"]) / p["median"],
+            "verdict": verdict(parent, change, better, bound)}
+
+
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -136,6 +171,7 @@ def main(argv=None) -> int:
         if not (path / "perfbench" / "run.py").is_file():
             raise SystemExit(f"--{label} {path}: not a checkout with perfbench/run.py")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     record = {"machine": machine(), "command": spec["command"], "runs": args.runs,
               "seconds": args.seconds, "first_seed": args.seed,
@@ -161,11 +197,10 @@ def main(argv=None) -> int:
             traced = run_once(spec["command"], path, workload, args.seed, args.seconds, 1)
             entry[label]["per_layer"] = {name: m["value"] for name, m in traced["metrics"].items()}
         parent, change = values["parent"], values["change"]
-        entry["pairs"] = {
-            name: {"wins_of_change": wins(parent[name], change[name], better[name]),
-                   "median_ratio": statistics.median(change[name]) / statistics.median(parent[name])}
-            for name in parent if name in better
-        }
+        entry["pairs"] = {name: pair_entry(parent[name], change[name], better[name], bounds[name])
+                          for name in parent if name in better}
+        print(f"{workload} verdicts: "
+              + ", ".join(f"{k} {v['verdict']}" for k, v in entry["pairs"].items()), flush=True)
         record["workloads"][workload] = entry
     record["acceptance"] = acceptance_budgets(sides["change"])
     print("acceptance: " + ", ".join(

@@ -11,6 +11,8 @@ A feasible set then gets an explicit witness distribution from the linear
 program over assignment weights: nonnegative variables q(x), a
 normalization row, and one row per pair and outcome combination, solved by
 an in-repo dense phase-1 simplex with Bland's rule (anti-cycling).
+``MarginalSet`` checks in a fixed order; a set that passes pays for one min,
+one pair sum and one max, and only a failing set tests each for its message.
 
 Outcome encoding: assignment index x in [0, 2^n); bit b of x set means
 observable b takes the value -1, clear means +1.
@@ -40,6 +42,9 @@ class MarginalSet:
     """Adjacent-pair distributions p(x_i, x_{i+1 mod n}) for an n-cycle.
 
     ``cells[i, a, b]`` is p(X_i = OUTCOMES[a], X_{i+1 mod n} = OUTCOMES[b]).
+    Checks, in order: shape (n, 2, 2), n >= 3, finite, no cell below -1e-12,
+    pair sums within 1e-9 of 1, no-disturbance on the cells clipped at zero.
+    Only a failing set tests them one by one, for the first failure's message.
     """
 
     n: int
@@ -51,34 +56,30 @@ class MarginalSet:
             raise PreconditionError(f"cells must have shape ({self.n}, 2, 2)")
         if self.n < 3:
             raise PreconditionError("need a cycle of at least 3 observables")
-        if not np.all(np.isfinite(cells)):
-            raise PreconditionError("pair probabilities must be finite")
-        if np.any(cells < -1e-12):
-            raise PreconditionError("negative pair probability")
         sums = cells.sum(axis=(1, 2))
-        if np.any(np.abs(sums - 1.0) > 1e-9):
+        if not (cells.min() >= -1e-12 and abs(sums - 1.0).max() <= 1e-9):  # NaN fails both
+            if not np.isfinite(cells).all():
+                raise PreconditionError("pair probabilities must be finite")
+            if (cells < -1e-12).any():
+                raise PreconditionError("negative pair probability")
             raise PreconditionError("each pair distribution must sum to 1")
-        cells = np.clip(cells, 0.0, None)
+        cells = np.maximum(cells, 0.0)
         cells.setflags(write=False)
         object.__setattr__(self, "cells", cells)
-        # No-disturbance: the single marginal of X_i implied by pair (i-1, i)
-        # must match the one implied by pair (i, i+1). Without it no joint
-        # distribution can exist for trivial bookkeeping reasons, which must
-        # stay distinct from genuine LP infeasibility.
-        # left[i] and right[i - 1] are both p(X_i = +1), read off pairs
-        # (i, i+1) and (i-1, i); the shift is spelled out because np.roll
-        # costs more than the whole check on short arrays.
-        left = cells[:, 0, 0] + cells[:, 0, 1]
-        right = cells[:, 0, 0] + cells[:, 1, 0]
-        gap = np.abs(left - np.concatenate((right[-1:], right[:-1])))
+        # No-disturbance keeps bookkeeping faults apart from genuine infeasibility.
+        # Row i of ``pairs`` is p(++), p(+-), p(-+), p(--) of pair (i, i+1), so
+        # left[i] and right[i - 1] both read p(X_i = +1); np.roll would cost
+        # more than the whole check on short arrays.
+        pairs = cells.reshape(-1, 4)
+        left = pairs[:, 0] + pairs[:, 1]
+        right = pairs[:, 0] + pairs[:, 2]
+        gap = abs(left - np.concatenate((right[-1:], right[:-1])))
         if gap.max() > NO_DISTURBANCE_TOL:
             node = np.argmax(gap > NO_DISTURBANCE_TOL)
             raise PreconditionError(f"inconsistent single-observable marginals at node {node}")
 
 
-def correlators_to_marginals(
-    c: CorrelationVector, singles=None
-) -> MarginalSet:
+def correlators_to_marginals(c: CorrelationVector, singles=None) -> MarginalSet:
     """The unique pair distributions with the given first and second moments.
 
     Cell formula p(x_i, x_j) = (1 + x_i s_i + x_j s_j + x_i x_j c_ij) / 4.
@@ -94,9 +95,12 @@ def correlators_to_marginals(
         raise PreconditionError("need one single-observable mean per node")
     if not all(abs(s) <= 1.0 + 1e-12 for s in singles):  # also rejects nan
         raise PreconditionError("single-observable means must be finite and lie in [-1, 1]")
-    # cells[i, a, b] for x_i = OUTCOMES[a], x_j = OUTCOMES[b], j = i + 1 mod n.
+    # cells[i, a, b] for x_i = OUTCOMES[a], x_j = OUTCOMES[b], j = i + 1 mod n,
+    # in the cell formula's order with its last two steps in place.
     si, sj, cij = np.array((singles, singles[1:] + singles[:1], c.values))[:, :, None, None]
-    cells = (1.0 + _X[:, None] * si + _X * sj + _XX * cij) / 4.0
+    cells = 1.0 + _X[:, None] * si + _X * sj
+    cells += _XX * cij
+    cells /= 4.0
     if cells.min() < -1e-12:
         first = np.flatnonzero(cells < -1e-12)[0]
         raise PreconditionError(
@@ -138,17 +142,17 @@ def _closest_facet(m: MarginalSet) -> tuple[tuple[int, ...], float]:
     odd-parity maximum flips the entry of smallest |c_i| (lowest index on
     ties) and loses 2 min|c_i|.
     """
-    cells = m.cells
+    pairs = m.cells.reshape(-1, 4)
     # <X_i X_{i+1}> = p(++) + p(--) - p(+-) - p(-+), summed in that order, for every pair.
-    c = cells[:, 0, 0] + cells[:, 1, 1] - cells[:, 0, 1] - cells[:, 1, 0]
-    size = np.abs(c)
-    gamma = np.where(c < 0, -1, 1)
+    c = pairs[:, 0] + pairs[:, 3] - pairs[:, 1] - pairs[:, 2]
+    size = abs(c)
     total = float(size.sum())
-    if np.count_nonzero(gamma < 0) % 2 == 0:
-        k = int(np.argmin(size))
-        gamma[k] = -gamma[k]
+    signs = [-1 if x < 0 else 1 for x in c.tolist()]
+    if signs.count(-1) % 2 == 0:
+        k = int(size.argmin())
+        signs[k] = -signs[k]
         total -= 2.0 * float(size[k])
-    return tuple(int(g) for g in gamma), total - (m.n - 2)
+    return tuple(signs), total - (m.n - 2)
 
 
 def _pair_constraint_matrix(n: int) -> np.ndarray:
@@ -220,9 +224,7 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> tuple[f
 def check_lp_cap(n: int) -> None:
     """Raise ResourceLimitError when the 2^n-variable LP exceeds the cap."""
     if n > LP_VARIABLE_CAP:
-        raise ResourceLimitError(
-            f"LP feasibility capped at n <= {LP_VARIABLE_CAP}, got {n}"
-        )
+        raise ResourceLimitError(f"LP feasibility capped at n <= {LP_VARIABLE_CAP}, got {n}")
 
 
 def jpd_feasible(m: MarginalSet) -> JpdWitness:
@@ -242,9 +244,7 @@ def jpd_feasible(m: MarginalSet) -> JpdWitness:
     phase1, q = _phase1_simplex(a, b)
     residual = float(np.max(np.abs(a @ q - b)))
     if residual > WITNESS_RESIDUAL_TOL:
-        raise VerificationError(
-            f"witness residual {residual:.3e} exceeds {WITNESS_RESIDUAL_TOL:.0e}"
-        )
+        raise VerificationError(f"witness residual {residual:.3e} exceeds {WITNESS_RESIDUAL_TOL:.0e}")
     if np.any(q < -1e-9):
         raise VerificationError("witness has a negative weight beyond tolerance")
     distribution = {int(i): float(w) for i, w in enumerate(q) if abs(w) > 1e-15}

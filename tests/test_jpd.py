@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 
 from conftest import near_facet_marginal_set, random_marginal_set
-from facet_oracle import enumerated_facet_excess
+from facet_oracle import closest_facet, enumerated_facet_excess
+from marginal_oracle import ordered_marginal_checks
 from witness_oracle import witness_correlators
 from qcycle import jpd
 from qcycle.errors import PreconditionError, ResourceLimitError, VerificationError
 from qcycle.jpd import (
     FEASIBILITY_TOL,
     OUTCOMES,
+    WITNESS_RESIDUAL_TOL,
     MarginalSet,
     _pair_constraint_matrix,
     _phase1_simplex,
@@ -106,6 +108,63 @@ def loop_cells(values, singles) -> np.ndarray:
                     )
                 cells[i, a, b] = max(p, 0.0)
     return cells
+
+
+def fuzzed_cells(rng, n: int) -> np.ndarray:
+    """Pair cells for a MarginalSet, valid or carrying one to three seeded faults.
+
+    Valid sets have shared singles and correlators in their physical range,
+    a fifth of them at an end of it, so some cells are zero up to round-off.
+    The faults: a cell set within 2e-12 of zero (signed zeros included); a
+    pair sum moved to just inside or just past 1 +- 1e-9; NaN or +-inf in one
+    cell, or +inf and -inf in one pair; a cell made negative with its pair
+    still summing to 1; mass moved inside a pair so that a node's two single
+    marginals disagree by about NO_DISTURBANCE_TOL or by much more.
+    """
+    singles = rng.uniform(-0.3, 0.3, size=n)
+    sj = np.roll(singles, -1)
+    lo, hi = -1.0 + np.abs(singles + sj), 1.0 - np.abs(singles - sj)
+    ends = np.where(rng.random(n) < 0.5, lo, hi)
+    values = np.where(rng.random(n) < 0.2, ends, rng.uniform(lo, hi))
+    faults = [] if rng.random() < 0.3 else list(
+        rng.choice(6, size=int(rng.integers(1, 4)), p=(0.25, 0.25, 0.08, 0.04, 0.13, 0.25))
+    )
+    if 0 in faults:  # near zero: the pair's smallest cell is exactly 0 before round-off
+        i = int(rng.integers(n))
+        values[i] = ends[i]
+    cells = loop_cells(tuple(values), tuple(singles))
+    for fault in faults:
+        i, a, b = int(rng.integers(n)), int(rng.integers(2)), int(rng.integers(2))
+        if fault == 0:
+            a, b = np.unravel_index(np.argmin(cells[i]), (2, 2))
+            cells[i, a, b] = rng.choice([0.0, -0.0, -1e-12, np.nextafter(-1e-12, -1.0),
+                                         rng.uniform(-2e-12, 2e-12), rng.uniform(-1e-12, 0.0)])
+        elif fault == 1:
+            # 1e-9 off by a thousandth, or by a few ulps of 1.
+            step = rng.choice([rng.uniform(-1e-12, 1e-12), int(rng.integers(-4, 5)) * 2.0**-52])
+            cells[i, a, b] += rng.choice([-1.0, 1.0]) * (1e-9 + step)
+        elif fault == 2:
+            cells[i, a, b] = rng.choice([np.nan, np.inf, -np.inf])
+        elif fault == 3:
+            cells[i, a, b], cells[i, 1 - a, 1 - b] = np.inf, -np.inf
+        elif fault == 4 and np.isfinite(cells[i, a, b]):
+            drop = cells[i, a, b] + 10.0 ** rng.uniform(-11.9, -1)
+            cells[i, a, b] -= drop
+            cells[i, 1 - a, b] += drop
+        elif fault == 5 and np.isfinite(cells[i]).all():
+            move = min(cells[i, 0, 1], rng.choice([1e-7 * (1.0 + rng.uniform(-1e-3, 1e-3)),
+                                                    rng.uniform(1e-3, 0.2)]))
+            cells[i, 0, 1] -= move
+            cells[i, 1, 1] += move
+    return cells
+
+
+def validation_outcome(make):
+    """The stored cells' bytes, or the class and message of what ``make()`` raises."""
+    try:
+        return make().tobytes()
+    except PreconditionError as exc:
+        return type(exc), str(exc)
 
 
 class TestCorrelatorsToMarginals:
@@ -209,6 +268,35 @@ class TestMarginalSetValidation:
         with pytest.raises(PreconditionError) as exc:
             MarginalSet(3, cells)
         assert "finite" in str(exc.value)
+
+    def test_matches_the_ordered_check_oracle(self):
+        # Valid, near-zero, near-normalization, non-finite, negative,
+        # disturbing and combined faults at n = 3..16, in four memory
+        # layouts: the same exception class and message as the checks run
+        # one at a time, or byte-identical stored cells.
+        rng = np.random.default_rng(41)
+        seen = {}
+        for n in range(3, 17):
+            for k in range(80):
+                cells = fuzzed_cells(rng, n)
+                strided = np.repeat(cells, 2, axis=0)[::2]
+                given = (cells, np.asfortranarray(cells), cells.tolist(), strided)[k % 4]
+                before = cells.tobytes()
+                with np.errstate(invalid="ignore"):  # +inf and -inf in one pair sum to NaN
+                    expected = validation_outcome(lambda: ordered_marginal_checks(n, given))
+                    outcome = validation_outcome(lambda: MarginalSet(n, given).cells)
+                assert outcome == expected, (n, k)
+                assert cells.tobytes() == before
+                key = "valid" if isinstance(expected, bytes) else expected[1].split(" at node")[0]
+                seen[key] = seen.get(key, 0) + 1
+        assert len(seen) == 5 and min(seen.values()) >= 40, seen
+
+    def test_stored_cells_are_read_only_and_clipped(self):
+        cells = np.full((3, 2, 2), 0.25)
+        cells[0] = [[0.5, -0.0], [-1e-12, 0.5]]
+        m = MarginalSet(3, cells)
+        assert not m.cells.flags.writeable and m.cells is not cells
+        assert m.cells[0].tobytes() == np.array([[0.5, 0.0], [0.0, 0.5]]).tobytes()
 
 
 class TestJpdFeasible:
@@ -401,6 +489,29 @@ class TestClosedFormVerdict:
         assert min(counts["infeasible"], counts["near_boundary"], counts["feasible"]) >= 10, counts
         assert counts["phase1_above_tol"] >= 1, counts
 
+    def test_closest_facet_matches_the_oracle_bit_for_bit(self):
+        # Correlators on a grid of exact quarters give exact zeros and ties
+        # on min|c_i| (the lowest index flips); uniform draws give neither.
+        # Both parities of the negative count, biased and unbiased singles.
+        rng = np.random.default_rng(43)
+        grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
+        seen = {"zero": 0, "tie": 0, "even": 0, "odd": 0}
+        for k in range(600):
+            n = int(rng.integers(3, 17))
+            values = rng.uniform(-0.5, 0.5, size=n) if k % 3 == 0 else rng.choice(grid, size=n)
+            singles = tuple(rng.choice((-0.25, 0.0, 0.25), size=n)) if k % 2 else None
+            corr = CorrelationVector(CycleScenario(n, (1,) * n), tuple(values))
+            m = correlators_to_marginals(corr, singles)
+            signs, excess = jpd._closest_facet(m)
+            expected_signs, expected_excess = closest_facet(m)
+            assert signs == expected_signs and all(type(g) is int for g in signs)
+            assert type(excess) is float and excess.hex() == expected_excess.hex()
+            c = np.abs(correlators_of(m))
+            seen["zero"] += bool((c == 0.0).any())
+            seen["tie"] += int(np.count_nonzero(c == c.min())) > 1
+            seen["even" if sum(v < 0 for v in correlators_of(m)) % 2 == 0 else "odd"] += 1
+        assert min(seen.values()) >= 100, seen
+
     def test_temporal_kcbs_facet(self):
         result = build("kcbs-temporal")
         witness = jpd_feasible(correlators_to_marginals(result.correlations, result.singles))
@@ -448,3 +559,36 @@ class TestWitnessExport:
         assert "facet_signs = -1 -1 -1 -1 -1" in text
         assert "phase1_objective" not in text
         assert not [l for l in text.splitlines() if l.startswith("w[")]
+
+    def test_export_reverifies_from_its_own_text(self):
+        # Feasible sets at n = 3..10: the w[...] weights read back from the
+        # text rebuild the pair cells, are nonnegative and sum to 1; an
+        # infeasible export carries no weights.
+        rng = np.random.default_rng(53)
+        for n in range(3, 11):
+            for k in range(5):
+                feasible = k < 4
+                excess = (-1 if feasible else 1) * 10.0 ** rng.uniform(-6, math.log10(0.5))
+                m = near_facet_marginal_set(rng, n, excess, biased=k % 2 == 0)
+                witness = jpd_feasible(m)
+                assert witness.feasible == feasible
+                fields = dict(
+                    line.split(" = ", 1) for line in witness_to_text(witness, n).splitlines()
+                    if not line.startswith("#")
+                )
+                assert int(fields["n"]) == n
+                assert fields["feasible"] == ("true" if feasible else "false")
+                assert tuple(int(g) for g in fields["facet_signs"].split()) == witness.facet_signs
+                assert float(fields["facet_excess"]) == witness.facet_excess
+                weights = {int(key[2:-1]): float(v) for key, v in fields.items() if key.startswith("w[")}
+                if not feasible:
+                    assert not weights
+                    continue
+                cells = np.zeros((n, 2, 2))
+                for x, w in weights.items():
+                    bits = [(x >> b) & 1 for b in range(n)]
+                    for i in range(n):
+                        cells[i, bits[i], bits[(i + 1) % n]] += w
+                assert np.abs(cells - m.cells).max() <= WITNESS_RESIDUAL_TOL
+                assert min(weights.values()) >= -1e-9
+                assert abs(sum(weights.values()) - 1.0) <= 1e-9
