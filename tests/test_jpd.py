@@ -490,8 +490,9 @@ class TestClosedFormVerdict:
         assert counts["phase1_above_tol"] >= 1, counts
 
     def test_closest_facet_matches_the_oracle_bit_for_bit(self):
-        # Correlators on a grid of exact quarters give exact zeros and ties
-        # on min|c_i| (the lowest index flips); uniform draws give neither.
+        # Correlators on a grid of exact quarters give exact zeros and, with
+        # an even negative count, ties on min|c_i| where the lowest index
+        # flips; uniform draws give neither.
         # Both parities of the negative count, biased and unbiased singles.
         rng = np.random.default_rng(43)
         grid = np.array([-0.5, -0.25, 0.0, 0.25, 0.5])
@@ -506,10 +507,11 @@ class TestClosedFormVerdict:
             expected_signs, expected_excess = closest_facet(m)
             assert signs == expected_signs and all(type(g) is int for g in signs)
             assert type(excess) is float and excess.hex() == expected_excess.hex()
-            c = np.abs(correlators_of(m))
+            c = np.array(correlators_of(m))
+            size, even = np.abs(c), np.count_nonzero(c < 0) % 2 == 0
             seen["zero"] += bool((c == 0.0).any())
-            seen["tie"] += int(np.count_nonzero(c == c.min())) > 1
-            seen["even" if sum(v < 0 for v in correlators_of(m)) % 2 == 0 else "odd"] += 1
+            seen["tie"] += even and np.count_nonzero(size == size.min()) > 1
+            seen["even" if even else "odd"] += 1
         assert min(seen.values()) >= 100, seen
 
     def test_temporal_kcbs_facet(self):
