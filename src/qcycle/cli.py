@@ -236,11 +236,11 @@ def cmd_scan(args) -> int:
     if args.builder:
         if args.builder != "chained":
             raise PreconditionError("scan supports the 'chained' builder family")
-        if args.param != "n":
+        if args.param not in (None, "n"):
             raise PreconditionError("the chained family scans over parameter 'n'")
         rows = scan_chained(int(args.min), int(args.max))
     elif args.space:
-        if args.param != "seed":
+        if args.param not in (None, "seed"):
             raise PreconditionError("search spaces scan over parameter 'seed'")
         seeds = range(int(args.min), int(args.max) + 1)
         rows = scan_seeds(args.space, seeds, starts=args.starts)
@@ -302,7 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="sweep one parameter and emit CSV rows")
     p_scan.add_argument("--builder", help="builder family to sweep (chained)")
     p_scan.add_argument("--space", choices=("temporal-times", "bloch-angles", "contextual-cone"))
-    p_scan.add_argument("--param", default="n", help="parameter to sweep (n or seed)")
+    p_scan.add_argument("--param", help="parameter to sweep: n with --builder, seed with --space (the defaults)")
     p_scan.add_argument("--min", type=int, required=True)
     p_scan.add_argument("--max", type=int, required=True)
     p_scan.add_argument("--starts", type=int, default=64)

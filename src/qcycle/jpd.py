@@ -31,6 +31,7 @@ LP_VARIABLE_CAP = 16
 FEASIBILITY_TOL = 1e-9
 WITNESS_RESIDUAL_TOL = 1e-7
 NO_DISTURBANCE_TOL = 1e-7
+PIVOT_TOL = 1e-11
 
 OUTCOMES = (1, -1)
 _X = np.array(OUTCOMES, dtype=float)
@@ -174,12 +175,13 @@ def _pair_constraint_matrix(n: int) -> np.ndarray:
     return np.vstack(rows)
 
 
-def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> tuple[float, np.ndarray]:
+def _phase1_simplex(a: np.ndarray, b: np.ndarray) -> tuple[float, np.ndarray]:
     """Minimize the sum of artificial variables for A x = b, x >= 0, b >= 0.
 
     Returns (phase-1 optimum, x). Bland's rule (lowest-index entering column,
     lowest-index basic variable among tied leaving rows) guarantees
-    termination in exact arithmetic.
+    termination in exact arithmetic, where basic values stay >= 0; so each
+    pivot sets those that round-off pushed below 0 back to 0.
     """
     m, n = a.shape
     if np.any(b < 0):
@@ -194,12 +196,12 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> tuple[f
     tableau[m, n : n + m] = 0.0
     max_iter = 200 * (m + n)
     for _ in range(max_iter):
-        candidates = np.nonzero(tableau[m, : n + m] < -tol)[0]
+        candidates = np.nonzero(tableau[m, : n + m] < -PIVOT_TOL)[0]
         if candidates.size == 0:
             break
         col = int(candidates[0])
         column = tableau[:m, col]
-        positive = np.nonzero(column > tol)[0]
+        positive = np.nonzero(column > PIVOT_TOL)[0]
         if positive.size == 0:
             raise VerificationError("phase-1 objective unbounded; malformed tableau")
         ratios = tableau[positive, -1] / column[positive]
@@ -211,6 +213,8 @@ def _phase1_simplex(a: np.ndarray, b: np.ndarray, tol: float = 1e-11) -> tuple[f
         for r in range(m + 1):
             if r != row and tableau[r, col] != 0.0:
                 tableau[r, :] -= tableau[r, col] * tableau[row, :]
+        rhs = tableau[:m, -1]
+        rhs[rhs < 0.0] = 0.0
         basis[row] = col
     else:
         raise VerificationError("simplex iteration cap exceeded")

@@ -11,11 +11,11 @@ R^dag M R rotates the Bloch vector of M by the angle 2*theta about ``axis``
 the inverse conjugation R M R^dag to cos(2t) sigma_z - sin(2t) sigma_x).
 Every builder in the package uses this one convention.
 
-Two frozen types carry validated inputs. ``Observable(m)`` is a +-1
-measurement: it checks once that m is Hermitian with m^2 = I and derives its
-spectral projectors (I +- m)/2 on first use, so every scenario (contextual,
-temporal, bipartite, consistent histories) reads the same object. ``State``
-is a density matrix.
+Validated inputs are frozen. ``Observable(m)`` is a +-1 measurement: it
+checks once that m is Hermitian with m^2 = I and derives its projectors
+(I +- m)/2 on first use. ``observable_stack`` makes the same check once on a
+configuration's settings, one read-only (k, d, d) array in the form the
+stacked expectation values read. ``State`` is a density matrix.
 
 Expectation values are traces of stacked products: callers form the
 (K, d, d) products Tr(rho O) needs (rho X, rho X Y, rho {X, Y}, rho (A x B))
@@ -139,6 +139,25 @@ def _frozen_matrix(m) -> np.ndarray:
     return _freeze(a)
 
 
+def _check_pm1(m: np.ndarray) -> None:
+    """Raise unless every (d, d) slice of ``m`` is Hermitian and squares to I."""
+    if max_abs(m - m.conj().swapaxes(-1, -2)) > HERMITIAN_TOL:
+        raise PreconditionError("observable matrix is not Hermitian")
+    if max_abs(m @ m - _frozen_identity(m.shape[-1])) > OBSERVABLE_TOL:
+        raise PreconditionError("observable does not square to the identity")
+
+
+def observable_stack(matrices) -> np.ndarray:
+    """A read-only (k, d, d) complex copy of k +-1 observables, checked as ``Observable`` checks one."""
+    a = np.array(matrices, dtype=complex)
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.size == 0:
+        raise PreconditionError(f"expected a non-empty (k, d, d) stack, got shape {a.shape}")
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise PreconditionError("matrix contains NaN or Inf entries")
+    _check_pm1(a)
+    return _freeze(a)
+
+
 @dataclass(frozen=True)
 class Observable:
     """A Hermitian observable with m^2 = I and its spectral projectors.
@@ -153,10 +172,7 @@ class Observable:
     def __post_init__(self):
         m = _frozen_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
-        if max_abs(m - m.conj().T) > HERMITIAN_TOL:
-            raise PreconditionError("observable matrix is not Hermitian")
-        if max_abs(m @ m - _frozen_identity(m.shape[0])) > OBSERVABLE_TOL:
-            raise PreconditionError("observable does not square to the identity")
+        _check_pm1(m)
 
     @cached_property
     def proj_plus(self) -> np.ndarray:
@@ -176,12 +192,6 @@ class Observable:
         if outcome == -1:
             return self.proj_minus
         raise PreconditionError(f"outcome must be +1 or -1, got {outcome!r}")
-
-
-def bloch_observable(n) -> Observable:
-    """Qubit observable n.sigma for a unit Bloch vector n."""
-    n = _unit_vector3(n)
-    return Observable(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
 
 
 @dataclass(frozen=True)

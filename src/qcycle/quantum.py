@@ -10,8 +10,8 @@ reads them through ``linalg.real_traces``:
 * sequential projective (Lüders) measurement, in its closed form: for +-1
   observables it is the symmetrized Tr(rho (XY + YX))/2 whether or not the
   pair commutes (``symmetrized_means``, also the anticommutator route of
-  ``histories``); temporal observables are in the Heisenberg picture, each
-  built once for its correlators and its single;
+  ``histories``); temporal observables are in the Heisenberg picture, one
+  stack for the correlators and the singles;
 * bipartite product observables, Tr(rho (A x B)): correlators, node singles
   and perfect pairs from one ``product_means`` call.
 
@@ -22,6 +22,8 @@ Builders construct the maximally violating configurations for the five-cycle
 in each setting (``kcbs-contextual``, ``kcbs-temporal``, ``kcbs-spatial``)
 and the chained configuration for any cycle length 3 <= N <= ``CYCLE_CAP``
 (``chained-N``), its length read off the name by ``builder_cycle_length``.
+Each validates its settings once, as one ``linalg.observable_stack``; every
+xz-plane qubit setting (chained, ``histories``) comes from ``_xz_matrix``.
 """
 
 from __future__ import annotations
@@ -34,14 +36,16 @@ import numpy as np
 
 from .errors import PreconditionError
 from .linalg import (
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     Observable,
     State,
     bell_phi_plus,
-    bloch_observable,
     dag,
     identity,
     maximally_mixed,
+    observable_stack,
     pure_state,
     real_traces,
     su2_rotation,
@@ -78,48 +82,33 @@ def symmetrized_means(rho: np.ndarray, x: np.ndarray, y: np.ndarray) -> list[flo
     return [0.5 * v for v in real_traces(rho @ (x @ y + y @ x))]
 
 
-def _party_stack(observables: tuple[Observable, ...]) -> np.ndarray:
-    """(len + 1, d, d) matrices of one party; the last entry is the identity."""
-    return np.stack([*(o.matrix for o in observables), identity(observables[0].dim)])
-
-
-def _cycle_stacks(observables) -> tuple[np.ndarray, np.ndarray]:
-    """The observables' matrices and, slice for slice, their cyclic successors'."""
-    x = np.stack([o.matrix for o in observables])
-    return x, np.roll(x, -1, axis=0)
-
-
-def heisenberg_observable(protocol: TemporalProtocol, t: float) -> Observable:
-    """The measured observable evolved to time t: U(t)^dag X U(t)."""
-    u = su2_rotation(protocol.axis, protocol.angular_rate * t)
-    return Observable(dag(u) @ protocol.measured.matrix @ u)
-
-
 def temporal_means(protocol: TemporalProtocol) -> tuple[CorrelationVector, tuple[float, ...]]:
     """Adjacent-pair correlators and singles of the protocol, Heisenberg picture.
 
-    Each time's Heisenberg observable is built once and serves both.
+    One stack of the measured X evolved to each time, U(t)^dag X U(t), serves both.
     """
-    x, y = _cycle_stacks([heisenberg_observable(protocol, t) for t in protocol.times])
+    us = (su2_rotation(protocol.axis, protocol.angular_rate * t) for t in protocol.times)
+    x = observable_stack([dag(u) @ protocol.measured.matrix @ u for u in us])
+    y = np.roll(x, -1, axis=0)
     rho = protocol.initial_state.matrix
     corr = CorrelationVector(canonical_scenario(protocol.n), tuple(symmetrized_means(rho, x, y)))
     return corr, tuple(real_traces(rho @ x))
 
 
 def contextual_means(
-    state: State, observables: tuple[Observable, ...]
+    state: State, x: np.ndarray
 ) -> tuple[CorrelationVector, tuple[float, ...], tuple[float, ...]]:
     """Adjacent joint correlators, singles and adjacent commutator norms of a cycle.
 
-    A pair whose commutator norm exceeds ``COMMUTING_TOL`` has no joint
-    context, and the cycle is rejected.
+    ``x`` is the cycle's ``observable_stack``. A pair whose commutator norm
+    exceeds ``COMMUTING_TOL`` has no joint context, and the cycle is rejected.
     """
-    x, y = _cycle_stacks(observables)
+    y = np.roll(x, -1, axis=0)
     norms = tuple(np.abs(x @ y - y @ x).max(axis=(1, 2)).tolist())
     if max(norms) > COMMUTING_TOL:
         raise PreconditionError("observables do not commute; no joint context exists")
     rx = state.matrix @ x
-    corr = CorrelationVector(canonical_scenario(len(observables)), tuple(real_traces(rx @ y)))
+    corr = CorrelationVector(canonical_scenario(len(x)), tuple(real_traces(rx @ y)))
     return corr, tuple(real_traces(rx)), norms
 
 
@@ -156,23 +145,25 @@ def pentagram_vectors() -> np.ndarray:
     )
 
 
-def contextual_kcbs_configuration() -> tuple[State, tuple[Observable, ...]]:
-    """Qutrit pentagram: X_j = 2|v_j><v_j| - I and the symmetry-axis state.
+def contextual_kcbs_configuration() -> tuple[State, np.ndarray]:
+    """Qutrit pentagram: the stack of X_j = 2|v_j><v_j| - I and the symmetry-axis state.
 
     Adjacent projectors are orthogonal, so adjacent observables commute and
     the five correlators are jointly measurable; the sum attains 5 - 4*sqrt(5).
     """
-    vs = pentagram_vectors()
     eye = identity(3)
-    observables = tuple(
-        Observable(2.0 * np.outer(v, v) - eye) for v in vs
-    )
+    observables = observable_stack([2.0 * np.outer(v, v) - eye for v in pentagram_vectors()])
     return pure_state([0.0, 0.0, 1.0]), observables
+
+
+def _xz_matrix(s: float, c: float) -> np.ndarray:
+    """s sigma_x + c sigma_z, summed as (s, 0, c).sigma over all three Paulis."""
+    return s * SIGMA_X + 0.0 * SIGMA_Y + c * SIGMA_Z
 
 
 def xz_observable(angle: float) -> Observable:
     """M(angle) = cos(angle) sigma_z + sin(angle) sigma_x."""
-    return bloch_observable((math.sin(angle), 0.0, math.cos(angle)))
+    return Observable(_xz_matrix(math.sin(angle), math.cos(angle)))
 
 
 def spatial_kcbs_configuration() -> BipartiteConfig:
@@ -182,12 +173,10 @@ def spatial_kcbs_configuration() -> BipartiteConfig:
     angle -4*pi*i/5. The pairing tests <A_0 B_1> + ... + <A_4 B_0> and the
     shared settings give <A_i B_i> = 1 on |phi+>.
     """
-    sigmas = []
-    for i in range(5):
-        r = su2_rotation((0.0, 1.0, 0.0), 2.0 * math.pi * i / 5.0)
-        sigmas.append(Observable(r @ SIGMA_Z @ dag(r)))
+    rotations = (su2_rotation((0.0, 1.0, 0.0), 2.0 * math.pi * i / 5.0) for i in range(5))
+    sigmas = observable_stack([r @ SIGMA_Z @ dag(r) for r in rotations])
     pairing = tuple((i, (i + 1) % 5, 1) for i in range(5))
-    return BipartiteConfig(bell_phi_plus(), tuple(sigmas), tuple(sigmas), pairing)
+    return BipartiteConfig(bell_phi_plus(), sigmas, sigmas, pairing)
 
 
 def chained_configuration(n: int) -> BipartiteConfig:
@@ -203,27 +192,18 @@ def chained_configuration(n: int) -> BipartiteConfig:
     signs = canonical_scenario(n).signs
     if n % 2 == 0:
         half = n // 2
-        alice = tuple(
-            bloch_observable((-math.sin(2 * m * math.pi / n), 0.0, math.cos(2 * m * math.pi / n)))
-            for m in range(half)
+        alice = observable_stack(
+            [_xz_matrix(-math.sin(2 * m * math.pi / n), math.cos(2 * m * math.pi / n)) for m in range(half)]
         )
-        bob = tuple(
-            bloch_observable(
-                (math.sin((2 * m + 1) * math.pi / n), 0.0, -math.cos((2 * m + 1) * math.pi / n))
-            )
-            for m in range(half)
+        bob = observable_stack(
+            [_xz_matrix(math.sin((2 * m + 1) * math.pi / n), -math.cos((2 * m + 1) * math.pi / n))
+             for m in range(half)]
         )
-        pairing = []
-        for k in range(n - 1):
-            if k % 2 == 0:
-                pairing.append((k // 2, k // 2, signs[k]))
-            else:
-                pairing.append(((k + 1) // 2, (k - 1) // 2, signs[k]))
-        pairing.append((0, half - 1, signs[n - 1]))
-        return BipartiteConfig(state, alice, bob, tuple(pairing))
-    settings = tuple(
-        xz_observable((math.pi - math.pi / n) * m) for m in range(n)
-    )
+        # Term k pairs A_{(k+1)//2} with B_{k//2}; the wrap term closes A_0 with B_{half-1}.
+        pairing = [((k + 1) // 2, k // 2, signs[k]) for k in range(n - 1)] + [(0, half - 1, signs[n - 1])]
+        return BipartiteConfig(state, alice, bob, pairing)
+    angles = ((math.pi - math.pi / n) * m for m in range(n))
+    settings = observable_stack([_xz_matrix(math.sin(a), math.cos(a)) for a in angles])
     pairing = tuple((i, (i + 1) % n, signs[i]) for i in range(n))
     return BipartiteConfig(state, settings, settings, pairing)
 
@@ -256,8 +236,8 @@ def _bipartite_result(
     ``perfect``, <A_i B_i> for the shared indices, the perfect-correlation
     diagnostics.
     """
-    alice, bob = _party_stack(cfg.alice), _party_stack(cfg.bob)
-    eye_a, eye_b = len(cfg.alice), len(cfg.bob)  # the identity's index in each stack
+    eye_a, eye_b = len(cfg.alice), len(cfg.bob)  # the identity's index in each stack below
+    alice, bob = (np.concatenate((p, identity(p.shape[1])[None])) for p in (cfg.alice, cfg.bob))
     shared = list(range(min(eye_a, eye_b))) if perfect else []
     i = [a for a, _, _ in cfg.pairing] + [k if party == "A" else eye_a for party, k in nodes] + shared
     j = [b for _, b, _ in cfg.pairing] + [eye_b if party == "A" else k for party, k in nodes] + shared

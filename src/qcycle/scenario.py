@@ -129,27 +129,21 @@ class TemporalProtocol:
 
 @dataclass(frozen=True)
 class BipartiteConfig:
-    """A shared state with local observable lists and the tested pairings.
+    """A shared state with each party's settings stack and the tested pairings.
 
+    ``alice`` and ``bob`` are (k, d, d) stacks from ``linalg.observable_stack``.
     ``pairing`` lists (alice_index, bob_index, sign) per inequality term; the
     correlator of term k is <A_i B_j> = Tr(rho (A_i x B_j)).
     """
 
     state: State
-    alice: tuple[Observable, ...]
-    bob: tuple[Observable, ...]
+    alice: np.ndarray
+    bob: np.ndarray
     pairing: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(self.alice))
-        object.__setattr__(self, "bob", tuple(self.bob))
         object.__setattr__(self, "pairing", tuple((int(i), int(j), int(s)) for i, j, s in self.pairing))
-        if not self.alice or not self.bob:
-            raise PreconditionError("both parties need at least one observable")
-        da, db = self.alice[0].dim, self.bob[0].dim
-        if any(a.dim != da for a in self.alice) or any(b.dim != db for b in self.bob):
-            raise PreconditionError("mixed local dimensions")
-        if self.state.dim != da * db:
+        if self.state.dim != self.alice.shape[1] * self.bob.shape[1]:
             raise PreconditionError("state dimension must be dim_A * dim_B")
         for i, j, s in self.pairing:
             if not (0 <= i < len(self.alice) and 0 <= j < len(self.bob)):

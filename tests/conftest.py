@@ -7,7 +7,13 @@ import pytest
 
 from qcycle.histories import FULL_HISTORIES, HistoryFamily
 from qcycle.jpd import MarginalSet
-from qcycle.linalg import Observable, State, bloch_observable, pure_state
+from qcycle.linalg import SIGMA_X, SIGMA_Y, SIGMA_Z, Observable, State, _unit_vector3, pure_state
+
+
+def bloch_observable(n) -> Observable:
+    """Qubit observable n.sigma for a unit Bloch vector n."""
+    n = _unit_vector3(n)
+    return Observable(n[0] * SIGMA_X + n[1] * SIGMA_Y + n[2] * SIGMA_Z)
 
 
 def random_unit3(rng) -> tuple[float, float, float]:

@@ -12,8 +12,10 @@ then another with the Lüders state update, the operational route that
 step by step in the Schrödinger picture (evolve, Lüders collapse, evolve,
 measure), apart from the Heisenberg route the package uses.
 ``repeat_agreement_probability`` measures the operational non-invasiveness
-behind joint measurability. ``family_from_protocol`` builds a history family
-from a three-time protocol through the same Heisenberg observables.
+behind joint measurability. ``heisenberg_observable`` evolves the measured
+observable to one time, the per-time oracle of the stack ``temporal_means``
+forms, and ``family_from_protocol`` builds a history family from a
+three-time protocol through those observables.
 ``correlation_spatial``, ``bipartite_single`` and ``marginal_probability``
 compute one bipartite correlator, one bipartite single and one starred
 history marginal at a time, the oracles of the stacked routes in
@@ -29,7 +31,7 @@ import numpy as np
 from qcycle.errors import PreconditionError, VerificationError
 from qcycle.histories import SLOTS, STAR, HistoryFamily
 from qcycle.linalg import Observable, State, as_matrix, dag, identity, max_abs, su2_rotation
-from qcycle.quantum import COMMUTING_TOL, heisenberg_observable
+from qcycle.quantum import COMMUTING_TOL
 from qcycle.scenario import BipartiteConfig, CorrelationVector, TemporalProtocol, canonical_scenario
 
 DEAD_BRANCH = 1e-14
@@ -140,13 +142,13 @@ def correlation_spatial(cfg: BipartiteConfig, i: int, j: int) -> float:
     """Tr(rho (A_i x B_j)) for a bipartite configuration."""
     if not (0 <= i < len(cfg.alice) and 0 <= j < len(cfg.bob)):
         raise PreconditionError(f"observable index ({i}, {j}) out of range")
-    return real_trace(cfg.state.matrix @ kron(cfg.alice[i].matrix, cfg.bob[j].matrix))
+    return real_trace(cfg.state.matrix @ kron(cfg.alice[i], cfg.bob[j]))
 
 
 def bipartite_single(cfg: BipartiteConfig, party: str, idx: int) -> float:
     """Tr(rho (A_idx x I)) for party "A", Tr(rho (I x B_idx)) for party "B"."""
-    eye_a, eye_b = identity(cfg.alice[0].dim), identity(cfg.bob[0].dim)
-    op = kron(cfg.alice[idx].matrix, eye_b) if party == "A" else kron(eye_a, cfg.bob[idx].matrix)
+    eye_a, eye_b = identity(cfg.alice.shape[1]), identity(cfg.bob.shape[1])
+    op = kron(cfg.alice[idx], eye_b) if party == "A" else kron(eye_a, cfg.bob[idx])
     return real_trace(cfg.state.matrix @ op)
 
 
@@ -207,6 +209,12 @@ def temporal_correlations_schrodinger(protocol: TemporalProtocol) -> Correlation
         a, b = times[i], times[(i + 1) % n]
         values.append(pair_correlator(min(a, b), max(a, b)))
     return CorrelationVector(canonical_scenario(n), tuple(values))
+
+
+def heisenberg_observable(protocol: TemporalProtocol, t: float) -> Observable:
+    """The measured observable evolved to time t: U(t)^dag X U(t)."""
+    u = su2_rotation(protocol.axis, protocol.angular_rate * t)
+    return Observable(dag(u) @ protocol.measured.matrix @ u)
 
 
 def family_from_protocol(protocol: TemporalProtocol) -> HistoryFamily:

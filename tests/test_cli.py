@@ -5,11 +5,13 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcycle.cli import main
+from qcycle.jpd import WITNESS_RESIDUAL_TOL
 from qcycle.report import parse_structured
 from qcycle.scenario import CYCLE_CAP, CycleScenario, ScenarioFile, canonical_scenario, save_scenario
 from qcycle.search import SEARCH_START_CAP
@@ -186,6 +188,19 @@ class TestFeasibility:
         save_scenario(ScenarioFile(canonical_scenario(7), correlators=(0.0,) * 7), path)
         fields = structured(capsys, "feasibility", str(path))
         assert fields["feasible"] == "true"
+
+    @pytest.mark.parametrize("c", [-0.6, -0.5, -0.2, 0.0])
+    def test_degenerate_n12_file_gets_a_witness(self, capsys, tmp_path, c):
+        # Bland's rule cycled on these sets while round-off left negative basic values.
+        path, witness_path = tmp_path / "n12.txt", tmp_path / "witness.txt"
+        save_scenario(ScenarioFile(canonical_scenario(12), correlators=(c,) * 12), path)
+        started = time.perf_counter()
+        fields = structured(capsys, "feasibility", str(path), "--witness", str(witness_path))
+        assert time.perf_counter() - started < 10.0
+        assert fields["feasible"] == "true"
+        assert float(fields["max_residual"]) <= WITNESS_RESIDUAL_TOL
+        lines = witness_path.read_text().splitlines()
+        assert min(float(line.split("=")[1]) for line in lines if line.startswith("w[")) >= -1e-9
 
     def test_lp_cap_checked_before_building(self, capsys, monkeypatch, tmp_path):
         def refuse(name):
@@ -524,7 +539,46 @@ def chained_scan_argv(draw):
     return ["scan", "--builder", "chained", "--param", "n", "--min", str(low), "--max", str(high)]
 
 
+def feasibility_file(rng, n: int, equal: bool) -> ScenarioFile:
+    """A scenario file of correlators (and sometimes singles) for ``feasibility``.
+
+    An equal-correlator family is degenerate: its witness LP has many tied
+    pivots. Values stray a little past [-1, 1], and singles past what the
+    correlators allow, so that some files end in exit 2.
+    """
+    if equal:
+        c = float(rng.choice((-1.0, -0.6, -0.5, -0.2, 0.0, 0.5, 1.0, math.cos(math.pi / n), rng.uniform(-1.05, 1.05))))
+        correlators = (c,) * n
+    else:
+        correlators = tuple(rng.uniform(-1.05, 1.05, size=n).tolist())
+    singles = tuple(rng.uniform(-0.3, 0.3, size=n).tolist()) if rng.random() < 0.3 else None
+    return ScenarioFile(canonical_scenario(n), correlators=correlators, singles=singles)
+
+
 class TestArgvFuzz:
+    def test_feasibility_files_end_in_a_documented_exit(self, tmp_path):
+        # Seeded: n = 3..10, half of the files equal-correlator families. An
+        # --out or --witness into a missing directory is always exit 2.
+        rng = np.random.default_rng(20)
+        missing = tmp_path / "missing" / "dir"
+        codes = []
+        for k in range(48):
+            path = tmp_path / f"scenario{k}.txt"
+            save_scenario(feasibility_file(rng, 3 + k % 8, equal=k % 2 == 0), path)
+            argv = ["feasibility", str(path), "--format", str(rng.choice(("text", "structured")))]
+            into_missing = False
+            for option in ("--out", "--witness"):
+                where = int(rng.integers(3))  # absent, a writable path, a missing directory
+                if where:
+                    into_missing |= where == 2
+                    argv += [option, str((missing if where == 2 else tmp_path) / f"{option[2:]}{k}.txt")]
+            code, err = exit_code(argv)
+            assert code in ((2,) if into_missing else (0, 2, 3)), (argv, code, err)
+            assert "Traceback" not in err
+            codes.append(code)
+        assert not missing.parent.exists()
+        assert codes.count(0) >= 10 and codes.count(2) >= 10
+
     @given(bound=bound_argv(), seed=seed_argv(), scan=scan_argv(), builder=builder_argv(),
            chained=chained_scan_argv())
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -625,6 +679,26 @@ class TestScan:
             capsys, "scan", "--builder", "chained", "--param", "q", "--min", "1", "--max", "2"
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, param",
+        [(("--builder", "chained", "--min", "3", "--max", "9"), "n"),
+         (("--space", "temporal-times", "--min", "0", "--max", "2", "--starts", "8"), "seed")],
+        ids=["builder", "space"],
+    )
+    def test_param_defaults_to_the_only_legal_value(self, capsys, argv, param):
+        implicit = run_cli(capsys, "scan", *argv)
+        assert implicit[0] == 0 and implicit[1].startswith("parameter,lhs_value,classical_bound\n")
+        assert run_cli(capsys, "scan", *argv, "--param", param) == implicit
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [(("--builder", "chained", "--param", "seed"), "the chained family scans over parameter 'n'"),
+         (("--space", "temporal-times", "--param", "n"), "search spaces scan over parameter 'seed'")],
+        ids=["builder-seed", "space-n"],
+    )
+    def test_explicit_wrong_param_is_still_a_usage_error(self, argv, message):
+        assert exit_code(("scan", *argv, "--min", "3", "--max", "4")) == (2, f"error: {message}\n")
 
 
 class TestReportDeterminism:

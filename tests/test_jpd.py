@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -351,6 +352,22 @@ class TestJpdFeasible:
             corr = witness_correlators(witness, 4)
             for i in range(4):
                 assert corr[i] == pytest.approx(pair_correlator(m, i), abs=1e-7)
+
+
+class TestDegenerateWitness:
+    """Bland's rule cycled on these degenerate feasible sets: round-off pushed
+    basic values below 0, and the negative minimum ratios broke its ties."""
+
+    @pytest.mark.parametrize("c", [-0.6, -0.5, -0.2, 0.0])
+    def test_equal_correlators_at_n12_get_a_witness(self, c):
+        m = correlators_to_marginals(CorrelationVector(canonical_scenario(12), (c,) * 12))
+        started = time.perf_counter()
+        witness = jpd_feasible(m)
+        assert time.perf_counter() - started < 10.0
+        assert witness.feasible
+        assert witness.max_constraint_residual <= WITNESS_RESIDUAL_TOL
+        assert min(witness.distribution.values()) >= -1e-9
+        assert witness_correlators(witness, 12) == pytest.approx((c,) * 12, abs=1e-9)
 
 
 class TestSoundnessAndAgreement:

@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_qubit_observable, random_state, random_unit3
+from conftest import bloch_observable, random_qubit_observable, random_state, random_unit3
 from matrix_dump import format_matrix, parse_matrix
 from quantum_oracles import anticommutator, commutator_norm, kron, real_trace, trace
 from qcycle.errors import PreconditionError
 from qcycle.linalg import (
+    HERMITIAN_TOL,
     I2,
+    OBSERVABLE_TOL,
     PSD_TOL,
     SIGMA_X,
     SIGMA_Y,
@@ -20,11 +22,11 @@ from qcycle.linalg import (
     State,
     as_matrix,
     bell_phi_plus,
-    bloch_observable,
     dag,
     identity,
     max_abs,
     maximally_mixed,
+    observable_stack,
     pure_state,
     su2_rotation,
 )
@@ -357,7 +359,11 @@ def fuzz_state(rng, dim: int, dtype) -> np.ndarray:
 
 
 def fuzz_layout(m: np.ndarray, dtype, layout: str) -> tuple[np.ndarray, np.ndarray]:
-    """(input, the array that owns its memory) holding the values of ``m`` as ``dtype`` in ``layout``."""
+    """(input, the array that owns its memory) holding the values of ``m`` as ``dtype`` in ``layout``.
+
+    ``m`` is a matrix or a (k, d, d) stack; a stack's "matrix" input is a list
+    of ``np.matrix`` views of its slices.
+    """
     a = np.array(m, dtype=dtype)
     if layout == "c":
         return a, a
@@ -368,15 +374,15 @@ def fuzz_layout(m: np.ndarray, dtype, layout: str) -> tuple[np.ndarray, np.ndarr
         base = np.ascontiguousarray(a.T)
         return base.T, base
     if layout == "strided":
-        base = np.zeros((2 * a.shape[0], 3 * a.shape[1]), dtype=dtype)
-        base[::2, ::3] = a
-        return base[::2, ::3], base
+        base = np.zeros((2 * a.shape[0], *a.shape[1:-1], 3 * a.shape[-1]), dtype=dtype)
+        base[::2, ..., ::3] = a
+        return base[::2, ..., ::3], base
     if layout == "readonly":
         a.setflags(write=False)
         return a, a
     if layout == "broadcast":
         return np.broadcast_to(a, (3, *a.shape))[1], a
-    return np.asmatrix(a), a
+    return (np.asmatrix(a) if a.ndim == 2 else [np.asmatrix(x) for x in a]), a
 
 
 @pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix inputs
@@ -470,3 +476,98 @@ class TestMatrixDump:
     def test_reject_garbage(self):
         with pytest.raises(PreconditionError):
             parse_matrix("not a matrix line\n")
+
+
+def fuzz_stack(rng, dtype) -> np.ndarray:
+    """1 to 5 signed involutive permutations of one random dimension, as a (k, d, d) array."""
+    dim = int(rng.integers(1, 5))
+    return np.array([fuzz_observable(rng, dim, dtype) for _ in range(int(rng.integers(1, 6)))])
+
+
+@pytest.mark.filterwarnings("ignore::PendingDeprecationWarning")  # np.matrix inputs
+class TestObservableStack:
+    """``observable_stack`` validates a whole stack as ``Observable`` validates each slice,
+    and neither mutates nor aliases the caller's array, over the dtypes and
+    layouts of ``TestValidatedTypesAliasingFuzz``.
+    """
+
+    @staticmethod
+    def state_of(inp, owner) -> tuple:
+        parts = inp if isinstance(inp, list) else [inp]
+        return tuple(p.tobytes() for p in parts), owner.tobytes(), owner.flags.writeable
+
+    @pytest.mark.parametrize("layout", FUZZ_LAYOUTS)
+    @pytest.mark.parametrize("dtype", FUZZ_DTYPES, ids=lambda t: np.dtype(t).name)
+    def test_copy_is_frozen_unaliased_and_slice_for_slice_observable(self, dtype, layout):
+        rng = np.random.default_rng([11, FUZZ_DTYPES.index(dtype), FUZZ_LAYOUTS.index(layout)])
+        for _ in range(6):
+            m = fuzz_stack(rng, dtype)
+            inp, owner = fuzz_layout(m, dtype, layout)
+            before = self.state_of(inp, owner)
+            stack = observable_stack(inp)
+            assert self.state_of(inp, owner) == before
+            assert stack.dtype == complex and stack.shape == m.shape and not stack.flags.writeable
+            assert not np.shares_memory(stack, owner)
+            assert stack.tobytes() == np.array(m, dtype=complex).tobytes()
+            for x, slice_ in zip(m, stack):
+                assert Observable(np.array(x, dtype=dtype)).matrix.tobytes() == slice_.tobytes()
+            if owner.flags.writeable:
+                owner[...] = 7
+                assert stack.tobytes() == np.array(m, dtype=complex).tobytes()
+
+    @pytest.mark.parametrize("layout", FUZZ_LAYOUTS)
+    @pytest.mark.parametrize("dtype", FUZZ_DTYPES, ids=lambda t: np.dtype(t).name)
+    def test_one_bad_slice_raises_observables_message(self, dtype, layout):
+        rng = np.random.default_rng([13, FUZZ_DTYPES.index(dtype), FUZZ_LAYOUTS.index(layout)])
+        for _ in range(4):
+            valid = fuzz_stack(rng, dtype)
+            k, dim = valid.shape[0], valid.shape[1]
+            bad_slices = [2 * valid[0]]
+            if dim > 1:
+                skewed = valid[0].copy()
+                skewed[0, 1] += 1
+                bad_slices.append(skewed)
+            if not np.issubdtype(dtype, np.integer):
+                broken = valid[0].copy()
+                broken[tuple(rng.integers(dim, size=2))] = rng.choice((np.nan, np.inf, -np.inf))
+                bad_slices.append(broken)
+            for bad in bad_slices:
+                with pytest.raises(PreconditionError) as single:
+                    Observable(bad)
+                m = valid.copy()
+                m[int(rng.integers(k))] = bad
+                inp, owner = fuzz_layout(m, dtype, layout)
+                before = self.state_of(inp, owner)
+                with pytest.raises(PreconditionError, match=f"^{re.escape(str(single.value))}$"):
+                    observable_stack(inp)
+                assert self.state_of(inp, owner) == before
+
+    @pytest.mark.parametrize("tol, shift", [(HERMITIAN_TOL, "hermitian"), (OBSERVABLE_TOL, "square")])
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_tolerance_edges_match_observable(self, tol, shift, scale):
+        # One slice off by scale * tol, either anti-Hermitian (breaks only the
+        # Hermitian check) or a scaled diagonal (breaks only m^2 = I).
+        off = np.array(SIGMA_Z, dtype=complex)
+        if shift == "hermitian":
+            off[0, 1] += scale * tol
+        else:
+            off *= 1.0 + scale * tol / 2.0
+        matrices = [SIGMA_X, off, SIGMA_Y]
+        try:
+            Observable(off)
+        except PreconditionError as exc:
+            with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+                observable_stack(matrices)
+            assert scale > 1.0
+        else:
+            assert observable_stack(matrices)[1].tobytes() == off.tobytes()
+            assert scale < 1.0
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [SIGMA_Z, np.zeros((0, 2, 2)), np.zeros((2, 0, 0)), np.zeros((2, 2, 3)), np.zeros((1, 2, 2, 2)), 1.0],
+        ids=["one-matrix", "no-settings", "empty-settings", "non-square", "four-axes", "scalar"],
+    )
+    def test_bad_shape_rejected(self, matrices):
+        with pytest.raises(PreconditionError, match=r"^expected a non-empty \(k, d, d\) stack, got shape"):
+            observable_stack(matrices)

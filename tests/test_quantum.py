@@ -14,6 +14,7 @@ from quantum_oracles import (
     correlation_joint,
     correlation_sequential,
     correlation_spatial,
+    heisenberg_observable,
     kron,
     real_trace,
     repeat_agreement_probability,
@@ -27,16 +28,17 @@ from qcycle.linalg import (
     identity,
     max_abs,
     maximally_mixed,
+    observable_stack,
     pure_state,
     real_traces,
 )
 from qcycle.quantum import (
     _bipartite_result,
     build,
+    builder_cycle_length,
     chained_configuration,
     contextual_kcbs_configuration,
     contextual_means,
-    heisenberg_observable,
     product_means,
     spatial_kcbs_configuration,
     symmetrized_means,
@@ -55,6 +57,12 @@ FIVE_CYCLE_OPTIMUM = -5.0 * math.cos(math.pi / 5.0)  # -4.045084971874737
 CONTEXTUAL_OPTIMUM = 5.0 - 4.0 * math.sqrt(5.0)  # -3.944271909999159
 
 
+def pentagram_observables():
+    """The contextual configuration's state and its stack as one ``Observable`` per slice, for the oracles."""
+    state, stack = contextual_kcbs_configuration()
+    return state, [Observable(m) for m in stack]
+
+
 class TestCorrelationJoint:
     def test_self_correlation(self):
         z = Observable(SIGMA_Z)
@@ -68,15 +76,14 @@ class TestCorrelationJoint:
 
     def test_pentagram_term(self):
         # By symmetry each adjacent term is one fifth of the total 5-4*sqrt(5).
-        state, obs = contextual_kcbs_configuration()
+        state, obs = pentagram_observables()
         term = correlation_joint(state, obs[0], obs[1])
         assert term == pytest.approx(CONTEXTUAL_OPTIMUM / 5.0, abs=1e-12)
 
     def test_non_commuting_rejected(self, monkeypatch):
         # A cycle with a non-commuting adjacent pair has no joint context,
         # so the contextual builder refuses it.
-        x, z = Observable(SIGMA_X), Observable(SIGMA_Z)
-        cycle = (maximally_mixed(2), (z, z, z, z, x))
+        cycle = (maximally_mixed(2), observable_stack([SIGMA_Z] * 4 + [SIGMA_X]))
         monkeypatch.setattr("qcycle.quantum.contextual_kcbs_configuration", lambda: cycle)
         with pytest.raises(PreconditionError, match="no joint context"):
             build("kcbs-contextual")
@@ -135,7 +142,7 @@ class TestCorrelationSequential:
 
     def test_commuting_reduction(self):
         # Commuting pair: joint, sequential and symmetrized values coincide.
-        state, obs = contextual_kcbs_configuration()
+        state, obs = pentagram_observables()
         joint = correlation_joint(state, obs[2], obs[3])
         seq, _ = correlation_sequential(state, obs[2], obs[3])
         anti = anticommutator_correlation(state, obs[2], obs[3])
@@ -163,7 +170,7 @@ class TestAnticommutatorCorrelation:
 
 class TestNonInvasiveness:
     def test_commuting_pairs_repeat_perfectly(self):
-        state, obs = contextual_kcbs_configuration()
+        state, obs = pentagram_observables()
         for i in range(5):
             p = repeat_agreement_probability(state, obs[i], obs[(i + 1) % 5])
             assert p == pytest.approx(1.0, abs=1e-10)
@@ -227,6 +234,22 @@ class TestTemporalProtocol:
     def test_singles_unbiased(self):
         assert np.allclose(temporal_means(temporal_kcbs_protocol())[1], 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stack_matches_the_per_time_oracle_byte_for_byte(self, seed):
+        # The Heisenberg stack equals one heisenberg_observable per time, so the
+        # correlators and singles equal the per-term oracles to the last bit.
+        rng = np.random.default_rng([seed, 20])
+        p = temporal_kcbs_protocol() if seed == 0 else TemporalProtocol(
+            random_state(rng), random_unit3(rng), rng.uniform(-10, 10),
+            tuple(np.cumsum(rng.uniform(0.1, 1.0, size=int(rng.integers(3, 8))))), random_qubit_observable(rng),
+        )
+        obs = [heisenberg_observable(p, t) for t in p.times]
+        corr, singles = temporal_means(p)
+        rho = p.initial_state.matrix
+        pairs = zip(obs, obs[1:] + obs[:1])
+        assert as_bytes(corr.values) == as_bytes([anticommutator_correlation(p.initial_state, x, y) for x, y in pairs])
+        assert as_bytes(singles) == as_bytes([real_trace(rho @ o.matrix) for o in obs])
+
     def test_times_must_increase(self):
         with pytest.raises(PreconditionError):
             TemporalProtocol(
@@ -249,14 +272,14 @@ class TestContextualConfiguration:
         data = Path(__file__).parent / "data"
         state, obs = contextual_kcbs_configuration()
         frozen = (data / "pentagram_x0.txt").read_text()
-        assert format_matrix(obs[0].matrix) == frozen
-        assert max_abs(parse_matrix(frozen) - obs[0].matrix) == 0.0
+        assert format_matrix(obs[0]) == frozen
+        assert max_abs(parse_matrix(frozen) - obs[0]) == 0.0
         assert format_matrix(state.matrix) == (data / "pentagram_state.txt").read_text()
 
     def test_adjacent_commutators_vanish(self):
         _, obs = contextual_kcbs_configuration()
         for i in range(5):
-            assert commutator_norm(obs[i].matrix, obs[(i + 1) % 5].matrix) <= 1e-10
+            assert commutator_norm(obs[i], obs[(i + 1) % 5]) <= 1e-10
 
     def test_optimum(self):
         state, obs = contextual_kcbs_configuration()
@@ -266,7 +289,7 @@ class TestContextualConfiguration:
     def test_observables_square_to_identity(self):
         _, obs = contextual_kcbs_configuration()
         for x in obs:
-            assert max_abs(x.matrix @ x.matrix - identity(3)) < 1e-12
+            assert max_abs(x @ x - identity(3)) < 1e-12
 
 
 class TestSpatialConfiguration:
@@ -284,7 +307,8 @@ class TestSpatialConfiguration:
         state = spatial_kcbs_configuration().state
         for a, b in ((0.3, 1.1), (2.0, 0.5), (4.0, 4.0)):
             cfg = BipartiteConfig(
-                state, (xz_observable(a),), (xz_observable(b),), ((0, 0, 1),)
+                state, observable_stack([xz_observable(a).matrix]), observable_stack([xz_observable(b).matrix]),
+                ((0, 0, 1),),
             )
             assert correlation_spatial(cfg, 0, 0) == pytest.approx(
                 math.cos(a - b), abs=1e-12
@@ -292,12 +316,7 @@ class TestSpatialConfiguration:
 
     def test_orthogonal_settings_uncorrelated(self):
         state = spatial_kcbs_configuration().state
-        cfg = BipartiteConfig(
-            state,
-            (Observable(SIGMA_Z),),
-            (Observable(SIGMA_X),),
-            ((0, 0, 1),),
-        )
+        cfg = BipartiteConfig(state, observable_stack([SIGMA_Z]), observable_stack([SIGMA_X]), ((0, 0, 1),))
         assert correlation_spatial(cfg, 0, 0) == pytest.approx(0.0, abs=1e-12)
 
     def test_index_out_of_range(self):
@@ -388,28 +407,54 @@ class TestBuilders:
         assert np.allclose(result.singles, 0.0, atol=1e-12)
 
 
+def stacked_settings(fn) -> list[int]:
+    """The number of settings in each ``observable_stack`` the builders validate while ``fn()`` runs."""
+    sizes = []
+
+    def counted(matrices, _stack=observable_stack):
+        stack = _stack(matrices)
+        sizes.append(len(stack))
+        return stack
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("qcycle.quantum.observable_stack", counted)
+        fn()
+    return sizes
+
+
 class TestValidatedObjectCounts:
     """Every build constructs and validates its objects afresh: nothing is
-    cached or skipped. The temporal protocol builds its measured observable
-    plus five Heisenberg observables, which serve both the correlators and
-    the singles.
+    cached or skipped. A build validates its settings as stacks, one per
+    party (one shared stack for odd chained cycles), and builds no
+    per-setting ``Observable``; the temporal protocol's one ``Observable`` is
+    its measured observable, whose Heisenberg stack serves both the
+    correlators and the singles.
     """
 
     @pytest.mark.parametrize(
         "name, counts",
-        [("kcbs-contextual", (5, 1)), ("kcbs-temporal", (6, 1)), ("kcbs-spatial", (5, 1))]
-        + [(f"chained-{n}", (n, 1)) for n in range(3, 25)],
+        [("kcbs-contextual", (0, 1)), ("kcbs-temporal", (1, 1)), ("kcbs-spatial", (0, 1))]
+        + [(f"chained-{n}", (0, 1)) for n in range(3, 25)],
     )
     def test_observables_and_states_per_build(self, name, counts):
         for _ in range(2):
             assert count_constructions(lambda: build(name)) == counts
 
+    @pytest.mark.parametrize(
+        "name", ["kcbs-contextual", "kcbs-temporal", "kcbs-spatial"] + [f"chained-{n}" for n in range(3, 25)]
+    )
+    def test_settings_validated_as_stacks_per_build(self, name):
+        n = builder_cycle_length(name)
+        stacks = [n // 2, n // 2] if name.startswith("chained") and n % 2 == 0 else [n]
+        for _ in range(2):
+            assert stacked_settings(lambda: build(name)) == stacks
 
-def random_local_observable(rng, dim: int) -> Observable:
+
+def random_local_observable(rng, dim: int) -> np.ndarray:
     """2|v><v| - I for a random complex unit vector v: Hermitian, squares to I."""
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     v /= math.sqrt((v.conj() @ v).real)
-    return Observable(2.0 * np.outer(v, v.conj()) - identity(dim))
+    return 2.0 * np.outer(v, v.conj()) - identity(dim)
 
 
 def commuting_pair(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -432,16 +477,16 @@ class TestStackedProductMeans:
         da, db = dims
         rng = np.random.default_rng([da, db, terms])
         for _ in range(5):
-            alice = tuple(random_local_observable(rng, da) for _ in range(int(rng.integers(1, 6))))
-            bob = tuple(random_local_observable(rng, db) for _ in range(int(rng.integers(1, 6))))
+            alice = observable_stack([random_local_observable(rng, da) for _ in range(int(rng.integers(1, 6)))])
+            bob = observable_stack([random_local_observable(rng, db) for _ in range(int(rng.integers(1, 6)))])
             pairing = tuple(
                 (int(rng.integers(len(alice))), int(rng.integers(len(bob))), int(rng.choice((1, -1))))
                 for _ in range(terms)
             )
             cfg = BipartiteConfig(random_state(rng, da * db), alice, bob, pairing)
             expected = [correlation_spatial(cfg, i, j) for i, j, _ in pairing]
-            a = np.stack([alice[i].matrix for i, _, _ in pairing])
-            b = np.stack([bob[j].matrix for _, j, _ in pairing])
+            a = np.stack([alice[i] for i, _, _ in pairing])
+            b = np.stack([bob[j] for _, j, _ in pairing])
             assert as_bytes(product_means(cfg.state.matrix, a, b)) == as_bytes(expected)
             nodes = [
                 ("A", int(rng.integers(len(alice)))) if rng.random() < 0.5 else ("B", int(rng.integers(len(bob))))
@@ -483,13 +528,13 @@ class TestRealTraces:
             rx = rho @ x
             assert as_bytes(real_traces(rx)) == as_bytes([real_trace(rho @ m) for m in xs])
             assert as_bytes(real_traces(rx @ y)) == as_bytes([real_trace(rho @ a @ b) for a, b in zip(xs, ys)])
-            xs, ys = ([random_local_observable(rng, dim).matrix for _ in range(terms)] for _ in range(2))
+            xs, ys = ([random_local_observable(rng, dim) for _ in range(terms)] for _ in range(2))
             x, y = np.stack(xs), np.stack(ys)
             anti = [0.5 * real_trace(rho @ anticommutator(a, b)) for a, b in zip(xs, ys)]
             assert as_bytes(symmetrized_means(rho, x, y)) == as_bytes(anti)
             if dim == 4:  # rho on a qubit pair
-                a = np.stack([random_local_observable(rng, 2).matrix for _ in range(terms)])
-                b = np.stack([random_local_observable(rng, 2).matrix for _ in range(terms)])
+                a = np.stack([random_local_observable(rng, 2) for _ in range(terms)])
+                b = np.stack([random_local_observable(rng, 2) for _ in range(terms)])
                 expected = [real_trace(rho @ kron(p, q)) for p, q in zip(a, b)]
                 assert as_bytes(product_means(rho, a, b)) == as_bytes(expected)
 
