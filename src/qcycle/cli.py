@@ -302,7 +302,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="sweep one parameter and emit CSV rows")
     p_scan.add_argument("--builder", help="builder family to sweep (chained)")
     p_scan.add_argument("--space", choices=("temporal-times", "bloch-angles", "contextual-cone"))
-    p_scan.add_argument("--param", help="parameter to sweep: n with --builder, seed with --space (the defaults)")
+    p_scan.add_argument("--param", help="parameter to sweep (default: n with --builder, seed with --space)")
     p_scan.add_argument("--min", type=int, required=True)
     p_scan.add_argument("--max", type=int, required=True)
     p_scan.add_argument("--starts", type=int, default=64)
